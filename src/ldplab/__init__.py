@@ -55,8 +55,6 @@ from .action import (
 from .ldp import (
     EventSpec,
     terminal_event,
-    path_sup_event,
-    predicate_event,
     LadderPoint,
     LdpEstimate,
     wilson_interval,

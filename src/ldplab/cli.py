@@ -22,7 +22,7 @@ from .ldp import ldp_experiment, terminal_event
 from .model import (drift_family_limit_gap, probe_ellipticity, probe_lipschitz,
                     probe_modulus)
 from .problems import list_problems, load_problem
-from .simulate import simulate_degenerate, simulate_original
+from .simulate import brownian_increments, dynamics, euler
 from .verify import gate_names, run_gates
 from .zvonkin import SolveFailure, find_lambda0, save_map
 
@@ -143,21 +143,25 @@ def verb_simulate(args):
     _write_manifest(args.out, "simulate", {
         "problem": args.problem, "seed": args.seed, "eps": args.eps,
         "n_steps": args.n_steps, "n_paths": args.n_paths})
-    simulate = simulate_degenerate if problem.layout == "degenerate" else simulate_original
-    escapes = 0
+    if not (0.0 <= args.eps <= 1.0 and args.n_steps >= 1 and args.n_paths >= 1):
+        return _fail("--eps must lie in [0, 1]; --n-steps and --n-paths must be positive",
+                     EXIT_INPUT_ERROR)
+    dt = problem.horizon_T / args.n_steps
+    increments = np.stack([brownian_increments(args.seed, i, args.n_steps, problem.noisy_dim, dt)
+                           for i in range(args.n_paths)])
+    _, alive, paths = euler(dynamics(problem, args.eps), increments, keep_path=True)
+    times = np.arange(args.n_steps + 1) * dt
     for i in range(args.n_paths):
-        try:
-            path = simulate(problem, args.eps, args.n_steps, args.seed, path_index=i)
-        except Exception as exc:
-            escapes += 1
-            print(f"path {i}: escaped ({exc})", file=sys.stderr)
+        if not alive[i]:
+            print(f"path {i}: escaped the working box", file=sys.stderr)
             continue
         with open(os.path.join(args.out, f"path_{i:04d}.csv"), "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"z{c + 1}" for c in range(problem.state_dim)])
-            for t, row in zip(path.times, path.states):
+            for t, row in zip(times, paths[i]):
                 writer.writerow([f"{t:.10g}"] + [f"{v:.10g}" for v in row])
+    escapes = int(np.sum(~alive))
     _write_json(args.out, "summary.json", {
         "n_paths": args.n_paths, "escapes": escapes, "eps": args.eps,
         "n_steps": args.n_steps})
@@ -270,8 +274,6 @@ def _build_parser():
                            help=f"bundled name ({', '.join(list_problems())}) or file path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker-count knob (outputs are worker-count independent)")
 
     p = sub.add_parser("validate", help="run regularity and assumption probes")
     common(p)

@@ -1,9 +1,10 @@
 """Monte Carlo rare-event ladders, slope regression, and bound checks.
 
-Paths are simulated in vectorized chunks with counter-based noise: the
-increments of path ``i`` at ladder point ``j`` depend only on (seed, j, i),
-so estimates are byte-for-byte reproducible for any chunking or worker count,
-and runs with and without the singular drift share their noise exactly.
+Paths are simulated in chunks by the batched stepper of ``simulate`` with
+counter-based noise: the increments of path ``i`` at ladder point ``j``
+depend only on (seed, j, i), so estimates are byte-for-byte reproducible for
+any chunking, and runs with and without the singular drift share their
+noise exactly.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simulate import brownian_increments, dynamics, euler
+
 __all__ = [
     "EventSpec",
     "terminal_event",
-    "path_sup_event",
-    "predicate_event",
     "LadderPoint",
     "LdpEstimate",
     "BoundReport",
@@ -36,43 +37,25 @@ _CHUNK = 32768
 
 @dataclass
 class EventSpec:
-    """A path event: terminal set membership, running-sup exceedance, or a
-    user predicate on the full path.
+    """A terminal event: the state at the horizon lies in ``target``.
 
     ``open_or_closed`` is a declared reporting label selecting which side of
     the large-deviation sandwich the event nominally exercises; it is not a
     computed topological fact.
     """
 
-    kind: str                      # terminal_in | path_sup_exceeds | predicate
+    target: object                 # Target with .distance
     open_or_closed: str = "closed"
-    target: object = None          # Target with .distance, for terminal_in
-    level: float = 0.0
-    coordinate: int = 0
-    predicate: object = None       # PathSample -> bool
     description: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("terminal_in", "path_sup_exceeds", "predicate"):
-            raise ValueError(f"unknown event kind {self.kind!r}")
         if self.open_or_closed not in ("open", "closed"):
             raise ValueError("open_or_closed must be 'open' or 'closed'")
 
 
 def terminal_event(target, open_or_closed="closed"):
-    return EventSpec(kind="terminal_in", target=target, open_or_closed=open_or_closed,
+    return EventSpec(target=target, open_or_closed=open_or_closed,
                      description=f"terminal in {target.description}")
-
-
-def path_sup_event(level, coordinate=0, open_or_closed="closed"):
-    return EventSpec(kind="path_sup_exceeds", level=level, coordinate=coordinate,
-                     open_or_closed=open_or_closed,
-                     description=f"sup_t z[{coordinate}] >= {level}")
-
-
-def predicate_event(fn, open_or_closed="closed", description="predicate"):
-    return EventSpec(kind="predicate", predicate=fn, open_or_closed=open_or_closed,
-                     description=description)
 
 
 # ---------------------------------------------------------------------------
@@ -138,100 +121,23 @@ def wilson_interval(hits, n, z=1.959963984540054):
 # Vectorized chunk simulation
 
 def _chunk_increments(seed, point_index, path_lo, path_hi, n_steps, dim, dt):
-    """Per-path Philox increments for a contiguous block of path indices."""
+    """Increments of paths path_lo..path_hi-1 at one ladder point, each keyed
+    by (point seed, path index) through ``brownian_increments``."""
     out = np.empty((path_hi - path_lo, n_steps, dim))
-    base = np.uint64((int(seed) + int(point_index) * 0x9E3779B97F4A7C15) % 2 ** 64)
-    sd = np.sqrt(dt)
+    point_seed = (int(seed) + int(point_index) * 0x9E3779B97F4A7C15) % 2 ** 64
     for i in range(path_lo, path_hi):
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([base, np.uint64(i)], dtype=np.uint64)))
-        out[i - path_lo] = gen.standard_normal((n_steps, dim)) * sd
+        out[i - path_lo] = brownian_increments(point_seed, i, n_steps, dim, dt)
     return out
 
 
-def _batch_dynamics(problem, eps, with_singular):
-    """(drift, noise_map, x0, noisy_slice) callables on (B, dim) batches."""
-    if problem.layout == "nondegenerate":
-        b1 = problem.drift.at(eps)
-        b2 = problem.singular_or_zero() if with_singular else None
-        sigma = problem.diffusion
-
-        def drift(z):
-            out = b1(z)
-            if b2 is not None and eps != 0.0:
-                out = out + eps * b2(z)
-            return out
-
-        def noise(z, dw):
-            return np.einsum("nij,nj->ni", sigma(z), dw)
-
-        return drift, noise, problem.state_dim
-    d1, d2 = problem.dims
-    bbar = problem.bbar.at(eps)
-    Bbar = problem.Bbar.at(eps)
-    b2 = problem.singular_or_zero() if with_singular else None
-    sigma = problem.diffusion
-
-    def drift(z):
-        vy = Bbar(z)
-        if b2 is not None and eps != 0.0:
-            vy = vy + eps * b2(z[:, d1:])
-        return np.concatenate([bbar(z), vy], axis=1)
-
-    def noise(z, dw):
-        dy = np.einsum("nij,nj->ni", sigma(z[:, d1:]), dw)
-        return np.concatenate([np.zeros((z.shape[0], d1)), dy], axis=1)
-
-    return drift, noise, d2
-
-
-def _simulate_chunk(problem, event, eps, n_steps, increments, collect_paths=False):
+def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True):
     """Euler-Maruyama over one chunk; returns (hit mask, escaped mask).
 
     Escaped paths are frozen at their last in-box state and excluded from the
     hit count by the caller.
     """
-    B = increments.shape[0]
-    dt = problem.horizon_T / n_steps
-    drift, noise, _ = _batch_dynamics(problem, eps, getattr(event, "_with_singular", True))
-    z = np.broadcast_to(problem.start.astype(float), (B, problem.state_dim)).copy()
-    alive = np.ones(B, dtype=bool)
-    sup_track = z[:, event.coordinate].copy() if event.kind == "path_sup_exceeds" else None
-    paths = np.empty((B, n_steps + 1, problem.state_dim)) if collect_paths else None
-    if collect_paths:
-        paths[:, 0] = z
-    sqrt_eps = np.sqrt(eps)
-    box = problem.working_box
-    for k in range(n_steps):
-        if not alive.any():
-            if collect_paths:
-                paths[:, k + 1:] = z[:, None, :]
-            break
-        idx = np.nonzero(alive)[0]
-        za = z[idx]
-        step = za + drift(za) * dt
-        if eps != 0.0:
-            step = step + sqrt_eps * noise(za, increments[idx, k])
-        ok = np.all(np.isfinite(step), axis=1) & box.contains(step)
-        z[idx[ok]] = step[ok]
-        alive[idx[~ok]] = False
-        if sup_track is not None:
-            sup_track[idx[ok]] = np.maximum(sup_track[idx[ok]], step[ok, event.coordinate])
-        if collect_paths:
-            paths[:, k + 1] = z
-    escaped = ~alive
-    if event.kind == "terminal_in":
-        hits = event.target.distance(z) <= 0.0
-    elif event.kind == "path_sup_exceeds":
-        hits = sup_track >= event.level
-    else:
-        from .simulate import PathSample
-
-        times = np.arange(n_steps + 1) * dt
-        hits = np.array([bool(event.predicate(
-            PathSample(times=times, states=paths[i], seed=0, epsilon=eps, dt=dt)))
-            for i in range(B)])
-    return np.asarray(hits, dtype=bool), escaped
+    z, alive, _ = euler(dynamics(problem, eps, with_singular), increments)
+    return event.target.distance(z) <= 0.0, ~alive
 
 
 def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
@@ -241,17 +147,13 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    event._with_singular = with_singular
     dt = problem.horizon_T / n_steps
-    dim = _batch_dynamics(problem, eps, with_singular)[2]
     hits = 0
     escapes = 0
-    collect = event.kind == "predicate"
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
-        inc = _chunk_increments(seed, point_index, lo, hi, n_steps, dim, dt)
-        hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, inc,
-                                             collect_paths=collect)
+        inc = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
+        hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, inc, with_singular)
         hits += int(np.sum(hit_mask & ~esc_mask))
         escapes += int(np.sum(esc_mask))
     if escapes == n_paths:

@@ -1,23 +1,34 @@
 """Euler-Maruyama simulation of the original, transformed, and degenerate
 systems, with shared-noise coupling for conjugacy and refinement checks.
 
+One batched stepper serves every system: ``dynamics`` builds the start
+point, drift, noise map and box test of a system once, and ``euler`` steps a
+(B, dim) batch of paths through them.  The single-path ``simulate_*``
+functions, ``conjugacy_check`` and the Monte Carlo ladders all use it.
+
 Noise is counter-based: every path derives its Brownian increments from a
 Philox stream keyed by (seed, path_index), so results are independent of
-execution order and worker count, and increments can be block-summed to
+execution order and batch size, and increments can be block-summed to
 couple refinements of the time grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .model import Box, SdeProblem
 
 __all__ = [
     "PathSample",
     "EscapeError",
+    "Dynamics",
     "brownian_increments",
     "coarsen_increments",
+    "dynamics",
+    "euler",
     "simulate_original",
     "simulate_transformed",
     "simulate_degenerate",
@@ -27,9 +38,8 @@ __all__ = [
 
 
 class EscapeError(RuntimeError):
-    def __init__(self, step, state):
-        super().__init__(f"state escaped the working box at step {step}: {state}")
-        self.step = step
+    def __init__(self, state):
+        super().__init__(f"path left the box or turned non-finite; last state inside: {state}")
         self.state = state
 
 
@@ -40,7 +50,6 @@ class PathSample:
     seed: int
     epsilon: float
     dt: float
-    brownian_increments: np.ndarray | None = None
 
 
 def brownian_increments(seed, path_index, n_steps, dim, dt):
@@ -51,181 +60,184 @@ def brownian_increments(seed, path_index, n_steps, dim, dt):
 
 
 def coarsen_increments(increments, factor):
-    """Block-sum fine increments to a grid coarser by an integer factor."""
-    n, dim = increments.shape
+    """Block-sum fine increments (..., n_steps, dim) to a grid coarser by an
+    integer factor."""
+    *batch, n, dim = increments.shape
     if n % factor:
         raise ValueError("n_steps must be divisible by the coarsening factor")
-    return increments.reshape(n // factor, factor, dim).sum(axis=1)
+    return increments.reshape(*batch, n // factor, factor, dim).sum(axis=-2)
 
 
-def _euler_path(x0, drift_fn, noise_fn, increments, dt, box=None, keep_increments=False,
-                seed=0, eps=0.0):
-    """Single-path explicit Euler-Maruyama with escape and finiteness checks."""
-    n_steps = increments.shape[0]
-    dim = x0.size
-    states = np.empty((n_steps + 1, dim))
-    states[0] = x0
-    x = x0.copy()
+class Dynamics(NamedTuple):
+    """One system at one eps, as callables on (B, dim) batches of states.
+
+    The noise enters the trailing ``dim - n_quiet`` coordinates only:
+    ``sigma(z)`` is (B, noise_dim, noise_dim) and is scaled by sqrt(eps).
+    """
+
+    x0: np.ndarray
+    drift: Callable               # (B, dim) -> (B, dim)
+    sigma: Callable               # (B, dim) -> (B, noise_dim, noise_dim)
+    inside: Callable              # (B, dim) -> (B,) bool: the box paths must stay in
+    n_quiet: int                  # leading noise-free coordinates (d1, or 0)
+    eps: float
+    horizon: float
+
+
+def dynamics(system, eps, with_singular=True):
+    """The ``Dynamics`` of an SdeProblem or a TransformedSde, in either layout.
+
+    An SdeProblem lives on its working box; ``with_singular=False`` drops its
+    vanishing term eps*b2.  A TransformedSde lives on theta's interior box
+    (its noise-free block, if any, on the working box) and always carries
+    the transformed singular term.
+    """
+    if isinstance(system, SdeProblem):
+        return _original_dynamics(system, eps, with_singular)
+    return _transformed_dynamics(system, eps)
+
+
+def _original_dynamics(problem, eps, with_singular):
+    b2 = problem.singular_drift if with_singular and eps != 0.0 else None
+    if problem.layout == "nondegenerate":
+        b1 = problem.drift.at(eps)
+        n_quiet, sigma = 0, problem.diffusion
+
+        def drift(z):
+            out = b1(z)
+            return out if b2 is None else out + eps * b2(z)
+    else:
+        n_quiet = problem.dims[0]
+        bbar, Bbar = problem.bbar.at(eps), problem.Bbar.at(eps)
+
+        def drift(z):
+            vy = Bbar(z)
+            if b2 is not None:
+                vy = vy + eps * b2(z[:, n_quiet:])
+            return np.concatenate([bbar(z), vy], axis=1)
+
+        def sigma(z):
+            return problem.diffusion(z[:, n_quiet:])
+    return Dynamics(problem.start.astype(float), drift, sigma, problem.working_box.contains,
+                    n_quiet, eps, problem.horizon_T)
+
+
+def _transformed_dynamics(tsde, eps):
+    base, ibox = tsde.base, tsde.map.interior_box()
+    if tsde.layout == "nondegenerate":
+        return Dynamics(tsde.start().astype(float), tsde.drift(eps), tsde.diffusion(),
+                        ibox.contains, 0, eps, base.horizon_T)
+    d1 = base.dims[0]
+    x_drift, y_drift = tsde.degenerate_drifts(eps)
+    xbox = Box(lo=base.working_box.lo[:d1], hi=base.working_box.hi[:d1])
+
+    def drift(z):
+        return np.concatenate([x_drift(z), y_drift(z)], axis=1)
+
+    def inside(z):
+        return xbox.contains(z[:, :d1]) & ibox.contains(z[:, d1:])
+
+    return Dynamics(tsde.start().astype(float), drift, tsde.degenerate_diffusion(), inside,
+                    d1, eps, base.horizon_T)
+
+
+def euler(dyn, increments, keep_path=False):
+    """Explicit Euler-Maruyama for a batch of paths driven by ``increments``.
+
+    ``increments`` is (B, n_steps, noise_dim); dt = horizon / n_steps, and
+    the noise is added only when eps != 0.  Only live rows are stepped: a
+    row that leaves the box or turns non-finite is frozen at its last state
+    inside the box and marked dead.  Returns (final states (B, dim), alive
+    mask (B,), path), where path is (B, n_steps + 1, dim) if ``keep_path``
+    and None otherwise.
+    """
+    B, n_steps = increments.shape[:2]
+    dt = dyn.horizon / n_steps
+    sqrt_eps = np.sqrt(dyn.eps)
+    q = dyn.n_quiet
+    z = np.tile(dyn.x0, (B, 1))
+    alive = np.ones(B, dtype=bool)
+    path = np.empty((B, n_steps + 1, z.shape[1])) if keep_path else None
+    if keep_path:
+        path[:, 0] = z
     for k in range(n_steps):
-        x = x + drift_fn(x) * dt + noise_fn(x, increments[k])
-        if not np.all(np.isfinite(x)):
-            raise EscapeError(k + 1, x)
-        if box is not None and not bool(box.contains(x)[0]):
-            raise EscapeError(k + 1, x)
-        states[k + 1] = x
-    times = np.arange(n_steps + 1) * dt
-    return PathSample(times=times, states=states, seed=seed, epsilon=eps, dt=dt,
-                      brownian_increments=increments if keep_increments else None)
+        if not alive.any():
+            if keep_path:
+                path[:, k + 1:] = z[:, None, :]
+            break
+        idx = np.nonzero(alive)[0]
+        za = z[idx]
+        step = za + dyn.drift(za) * dt
+        if dyn.eps != 0.0:
+            step[:, q:] += sqrt_eps * np.einsum("nij,nj->ni", dyn.sigma(za),
+                                                increments[idx, k])
+        ok = np.all(np.isfinite(step), axis=1) & dyn.inside(step)
+        z[idx[ok]] = step[ok]
+        alive[idx[~ok]] = False
+        if keep_path:
+            path[:, k + 1] = z
+    return z, alive, path
 
 
-def simulate_original(problem, eps, n_steps, seed, path_index=0, increments=None,
-                      keep_increments=False, with_singular=True):
-    """dX = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW on the working box."""
-    if not (0.0 <= eps < 1.0) and eps != 1.0:
+def _single_path(system, eps, n_steps, seed, path_index, increments, with_singular=True):
+    if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    n = problem.state_dim
-    dt = problem.horizon_T / n_steps
+    dyn = dynamics(system, eps, with_singular)
+    dt = dyn.horizon / n_steps
     if increments is None:
-        increments = brownian_increments(seed, path_index, n_steps, n, dt)
-    b1 = problem.drift.at(eps)
-    b2 = problem.singular_or_zero() if with_singular else None
-    sigma = problem.diffusion
-    sqrt_eps = np.sqrt(eps)
-
-    def drift(x):
-        out = b1(x)
-        if b2 is not None and eps != 0.0:
-            out = out + eps * b2(x)
-        return out
-
-    def noise(x, dw):
-        if eps == 0.0:
-            return 0.0
-        return sqrt_eps * (sigma(x) @ dw)
-
-    return _euler_path(problem.start.astype(float), drift, noise, increments, dt,
-                       box=problem.working_box, keep_increments=keep_increments,
-                       seed=seed, eps=eps)
+        noise_dim = dyn.x0.size - dyn.n_quiet
+        increments = brownian_increments(seed, path_index, n_steps, noise_dim, dt)
+    _, alive, path = euler(dyn, increments[None], keep_path=True)
+    if not alive[0]:
+        raise EscapeError(path[0, -1])
+    return PathSample(times=np.arange(n_steps + 1) * dt, states=path[0], seed=seed,
+                      epsilon=eps, dt=dt)
 
 
-def simulate_transformed(tsde, eps, n_steps, seed, path_index=0, increments=None,
-                         keep_increments=False):
+def simulate_original(problem, eps, n_steps, seed, path_index=0, increments=None,
+                      with_singular=True):
+    """dX = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW on the working box."""
+    return _single_path(problem, eps, n_steps, seed, path_index, increments, with_singular)
+
+
+def simulate_transformed(tsde, eps, n_steps, seed, path_index=0, increments=None):
     """Transformed system started from theta(x0); same noise conventions."""
-    if tsde.layout == "degenerate":
-        return simulate_transformed_degenerate(tsde, eps, n_steps, seed,
-                                               path_index=path_index,
-                                               increments=increments,
-                                               keep_increments=keep_increments)
-    m = tsde.base.state_dim
-    dt = tsde.base.horizon_T / n_steps
-    if increments is None:
-        increments = brownian_increments(seed, path_index, n_steps, m, dt)
-    drift_fn = tsde.drift(eps)
-    sigma_fn = tsde.diffusion()
-    sqrt_eps = np.sqrt(eps)
-    box = tsde.map.interior_box()
-
-    def drift(y):
-        return drift_fn(y)
-
-    def noise(y, dw):
-        if eps == 0.0:
-            return 0.0
-        return sqrt_eps * (sigma_fn(y) @ dw)
-
-    return _euler_path(tsde.start().astype(float), drift, noise, increments, dt,
-                       box=box, keep_increments=keep_increments, seed=seed, eps=eps)
+    return _single_path(tsde, eps, n_steps, seed, path_index, increments)
 
 
 def simulate_degenerate(problem, eps, n_steps, seed, path_index=0, increments=None,
-                        keep_increments=False, with_singular=True):
+                        with_singular=True):
     """dX = bbar^eps dt (no noise); dY = (Bbar^eps + eps*b) dt + sqrt(eps) sigma dW."""
     if problem.layout != "degenerate":
         raise ValueError("problem is not in the degenerate layout")
-    d1, d2 = problem.dims
-    dt = problem.horizon_T / n_steps
-    if increments is None:
-        increments = brownian_increments(seed, path_index, n_steps, d2, dt)
-    bbar = problem.bbar.at(eps)
-    Bbar = problem.Bbar.at(eps)
-    b = problem.singular_or_zero() if with_singular else None
-    sigma = problem.diffusion
-    sqrt_eps = np.sqrt(eps)
-
-    def drift(z):
-        y = z[d1:]
-        out_x = bbar(z)
-        out_y = Bbar(z)
-        if b is not None and eps != 0.0:
-            out_y = out_y + eps * b(y)
-        return np.concatenate([out_x, out_y])
-
-    def noise(z, dw):
-        if eps == 0.0:
-            return 0.0
-        y = z[d1:]
-        dy = sqrt_eps * (sigma(y) @ dw)
-        return np.concatenate([np.zeros(d1), dy])
-
-    return _euler_path(problem.start.astype(float), drift, noise, increments, dt,
-                       box=problem.working_box, keep_increments=keep_increments,
-                       seed=seed, eps=eps)
+    return _single_path(problem, eps, n_steps, seed, path_index, increments, with_singular)
 
 
 def simulate_transformed_degenerate(tsde, eps, n_steps, seed, path_index=0,
-                                    increments=None, keep_increments=False):
-    d1, d2 = tsde.base.dims
-    dt = tsde.base.horizon_T / n_steps
-    if increments is None:
-        increments = brownian_increments(seed, path_index, n_steps, d2, dt)
-    x_drift, y_drift = tsde.degenerate_drifts(eps)
-    sigma_fn = tsde.degenerate_diffusion()
-    sqrt_eps = np.sqrt(eps)
-    ibox = tsde.map.interior_box()
-    xbox_lo = tsde.base.working_box.lo[:d1]
-    xbox_hi = tsde.base.working_box.hi[:d1]
-
-    def drift(z):
-        return np.concatenate([x_drift(z), y_drift(z)])
-
-    def noise(z, dw):
-        if eps == 0.0:
-            return 0.0
-        dy = sqrt_eps * (sigma_fn(z) @ dw)
-        return np.concatenate([np.zeros(d1), dy])
-
-    class _JointBox:
-        def contains(self, z):
-            z = np.atleast_2d(z)
-            ok_x = np.all((z[:, :d1] >= xbox_lo) & (z[:, :d1] <= xbox_hi), axis=-1)
-            ok_y = ibox.contains(z[:, d1:])
-            return ok_x & ok_y
-
-    return _euler_path(tsde.start().astype(float), drift, noise, increments, dt,
-                       box=_JointBox(), keep_increments=keep_increments, seed=seed,
-                       eps=eps)
+                                    increments=None):
+    """Degenerate transformed system: X unchanged, Y carried through theta."""
+    return _single_path(tsde, eps, n_steps, seed, path_index, increments)
 
 
-def conjugacy_check(problem, zmap, eps, n_steps, seed, tsde=None):
-    """sup_k |theta(X_k) - Y_k| for shared-noise X and Y paths.
+def conjugacy_check(problem, zmap, eps, increments, tsde=None):
+    """sup_k |theta(X_k) - Y_k| of each path, for X and Y driven by the same
+    increments (B, n_steps, noise_dim); returns a (B,) array.
 
     The discrepancy is pure discretization error and must shrink as dt -> 0.
     """
     from .zvonkin import theta, transform
 
     tsde = tsde or transform(problem, zmap)
-    if problem.layout == "nondegenerate":
-        x_path = simulate_original(problem, eps, n_steps, seed, keep_increments=True)
-        y_path = simulate_transformed(tsde, eps, n_steps, seed,
-                                      increments=x_path.brownian_increments)
-        mapped = theta(zmap, x_path.states)
-        return float(np.max(np.linalg.norm(mapped - y_path.states, axis=-1)))
-    d1, _ = problem.dims
-    x_path = simulate_degenerate(problem, eps, n_steps, seed, keep_increments=True)
-    y_path = simulate_transformed_degenerate(tsde, eps, n_steps, seed,
-                                             increments=x_path.brownian_increments)
-    mapped = np.concatenate([x_path.states[:, :d1],
-                             theta(zmap, x_path.states[:, d1:])], axis=1)
-    return float(np.max(np.linalg.norm(mapped - y_path.states, axis=-1)))
+    paths = []
+    for system in (problem, tsde):
+        _, alive, path = euler(dynamics(system, eps), increments, keep_path=True)
+        if not alive.all():
+            raise EscapeError(path[np.argmin(alive), -1])
+        paths.append(path)
+    x, y = paths
+    q = problem.state_dim - problem.noisy_dim
+    noisy = x[..., q:]
+    x[..., q:] = theta(zmap, noisy.reshape(-1, noisy.shape[-1])).reshape(noisy.shape)
+    return np.max(np.linalg.norm(x - y, axis=-1), axis=1)

@@ -19,8 +19,8 @@ from .action import (ball_target, half_space_target, minimize_rate, rate_via_tra
 from .ldp import bound_check, fit_slope, ldp_experiment, terminal_event
 from .model import Box, Modulus, SdeProblem, VectorField, DriftFamily, dini_classify
 from .problems import build_field, load_problem
-from .simulate import (brownian_increments, coarsen_increments, simulate_degenerate,
-                       simulate_original, simulate_transformed)
+from .simulate import (brownian_increments, coarsen_increments, conjugacy_check,
+                       simulate_degenerate)
 from .zvonkin import find_lambda0, solve_resolvent, theta, theta_inv, transform
 
 __all__ = ["GateReport", "GATES", "run_gates", "gate_names", "gaussian_reference_slope"]
@@ -137,20 +137,12 @@ def gate_ito_conjugacy(seed=2024, n_paths=8):
     eps = 0.5
     fine_steps = 800
     dt_fine = problem.horizon_T / fine_steps
+    fine = np.stack([brownian_increments(seed, pi, fine_steps, problem.noisy_dim, dt_fine)
+                     for pi in range(n_paths)])
     discrepancies = []
     for level in range(4):
-        factor = 2 ** (3 - level)
-        vals = []
-        for pi in range(n_paths):
-            fine = brownian_increments(seed, pi, fine_steps, problem.state_dim, dt_fine)
-            inc = coarsen_increments(fine, factor) if factor > 1 else fine
-            x_path = simulate_original(problem, eps, fine_steps // factor, seed,
-                                       increments=inc)
-            y_path = simulate_transformed(tsde, eps, fine_steps // factor, seed,
-                                          increments=inc)
-            mapped = theta(zmap, x_path.states)
-            vals.append(float(np.max(np.linalg.norm(mapped - y_path.states, axis=-1))))
-        discrepancies.append(float(np.mean(vals)))
+        inc = coarsen_increments(fine, 2 ** (3 - level))
+        discrepancies.append(float(np.mean(conjugacy_check(problem, zmap, eps, inc, tsde=tsde))))
     ratios = [a / b for a, b in zip(discrepancies, discrepancies[1:])]
     ok = all(r >= 1.15 for r in ratios)
     return GateReport("ito_conjugacy_refinement", ok,

@@ -1,8 +1,12 @@
 import json
+from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from ldplab.cli import main
+from ldplab.problems import load_problem
+from ldplab.simulate import simulate_original
 
 
 def test_version_flag(capsys):
@@ -77,6 +81,32 @@ def test_simulate_writes_paths(tmp_path):
     assert len(files) == 3
     header = files[0].read_text().splitlines()[0]
     assert header == "t,z1"
+
+
+def test_simulate_counts_escapes_from_one_batch(tmp_path):
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+                      .replace("box_lo = -6.0", "box_lo = -1.5")
+                      .replace("box_hi = 6.0", "box_hi = 1.5"))
+    out = tmp_path / "out"
+    code = main(["simulate", "--problem", str(narrow), "--out", str(out), "--eps", "1",
+                 "--n-paths", "12", "--n-steps", "32", "--seed", "3"])
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    written = sorted(out.glob("path_*.csv"))
+    assert 0 < summary["escapes"] < 12
+    assert summary["escapes"] + len(written) == 12
+    index = int(written[-1].stem.split("_")[1])
+    rows = np.loadtxt(written[-1], delimiter=",", skiprows=1)
+    path = simulate_original(load_problem(str(narrow)), 1.0, 32, 3, path_index=index)
+    for got, want in zip(rows[:, 1], path.states[:, 0]):
+        assert float(f"{want:.10g}") == got
+
+
+def test_workers_flag_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--problem", "brownian-1d", "--out", str(tmp_path), "--workers", "2"])
+    assert info.value.code == 2
 
 
 def test_rate_verb(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 
 from ldplab.problems import load_problem
 from ldplab.simulate import (EscapeError, brownian_increments, coarsen_increments,
-                             conjugacy_check, simulate_degenerate, simulate_original,
-                             simulate_transformed)
-from ldplab.zvonkin import transform
+                             conjugacy_check, dynamics, euler, simulate_degenerate,
+                             simulate_original, simulate_transformed,
+                             simulate_transformed_degenerate)
+from ldplab.zvonkin import find_lambda0, transform
 
 
 def test_increments_reproducible_and_independent():
@@ -51,9 +52,9 @@ def test_simulate_reproducible():
 
 def test_brownian_terminal_matches_increment_sum():
     problem = load_problem("brownian-1d")
-    path = simulate_original(problem, 0.25, 128, seed=4, keep_increments=True)
-    assert path.states[-1, 0] == pytest.approx(
-        0.5 * path.brownian_increments.sum(), rel=1e-12)
+    path = simulate_original(problem, 0.25, 128, seed=4)
+    increments = brownian_increments(4, 0, 128, 1, problem.horizon_T / 128)
+    assert path.states[-1, 0] == pytest.approx(0.5 * increments.sum(), rel=1e-12)
 
 
 def test_escape_raises():
@@ -72,14 +73,60 @@ def test_degenerate_x_block_noise_free():
     assert np.max(dx) <= bbar_bound * dt + 1e-12
 
 
+def _one_path_increments(problem, n_steps, seed):
+    dt = problem.horizon_T / n_steps
+    return brownian_increments(seed, 0, n_steps, problem.noisy_dim, dt)[None]
+
+
 def test_conjugacy_eps_zero_is_integrator_mismatch(dini_problem, dini_map):
-    disc = conjugacy_check(dini_problem, dini_map, 0.0, 400, seed=0)
+    inc = _one_path_increments(dini_problem, 400, seed=0)
+    disc, = conjugacy_check(dini_problem, dini_map, 0.0, inc)
     assert disc <= 1e-4
 
 
 def test_conjugacy_moderate_eps(dini_problem, dini_map):
-    disc = conjugacy_check(dini_problem, dini_map, 0.5, 400, seed=0)
+    inc = _one_path_increments(dini_problem, 400, seed=0)
+    disc, = conjugacy_check(dini_problem, dini_map, 0.5, inc)
     assert disc <= 0.05
+
+
+@pytest.fixture(scope="module")
+def hamiltonian_map():
+    problem = load_problem("hamiltonian-2d")
+    return problem, find_lambda0(problem, resolution=257).map
+
+
+def test_conjugacy_degenerate(hamiltonian_map):
+    """X and the transformed (X, theta(Y)) system on shared noise, degenerate layout."""
+    problem, zmap = hamiltonian_map
+    inc = _one_path_increments(problem, 400, seed=0)
+    assert conjugacy_check(problem, zmap, 0.0, inc)[0] <= 1e-4
+    assert conjugacy_check(problem, zmap, 0.5, inc)[0] <= 0.05
+
+
+@pytest.mark.parametrize("system", ["original", "degenerate", "transformed",
+                                    "transformed_degenerate"])
+def test_batch_rows_equal_single_paths(system, dini_problem, dini_map, hamiltonian_map):
+    """Eight paths stepped as one batch equal eight single-path calls."""
+    hamiltonian, hamiltonian_zmap = hamiltonian_map
+    source, single = {
+        "original": (dini_problem, simulate_original),
+        "degenerate": (hamiltonian, simulate_degenerate),
+        "transformed": (transform(dini_problem, dini_map), simulate_transformed),
+        "transformed_degenerate": (transform(hamiltonian, hamiltonian_zmap),
+                                   simulate_transformed_degenerate),
+    }[system]
+    n_steps = 200
+    inc = np.stack([brownian_increments(5, i, n_steps, 1, 1.0 / n_steps) for i in range(8)])
+    _, alive, paths = euler(dynamics(source, 0.5), inc, keep_path=True)
+    assert alive.all()
+    for i in range(8):
+        states = single(source, 0.5, n_steps, seed=5, path_index=i).states
+        if system.startswith("transformed"):
+            # theta^-1 iterates until the worst row of its batch converges
+            np.testing.assert_allclose(paths[i], states, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(paths[i], states)
 
 
 def test_transformed_path_reproducible(dini_problem, dini_map):
