@@ -50,7 +50,6 @@ from .action import (
     action,
     minimize_rate,
     rate_via_transform,
-    level_set_probe,
 )
 from .ldp import (
     EventSpec,

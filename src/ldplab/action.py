@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .simulate import dynamics
+
 __all__ = [
     "ControlPath",
     "SkeletonPath",
@@ -25,7 +27,6 @@ __all__ = [
     "action",
     "minimize_rate",
     "rate_via_transform",
-    "level_set_probe",
 ]
 
 
@@ -137,10 +138,12 @@ def predicate_target(signed_distance, description="predicate", coords=None):
 _TAB_RESOLUTION = {1: 2049, 2: 129, 3: 33}
 
 
-def _tabulate(box, funcs):
-    """Sample vector functions on a tensor grid and wrap them as fast
-    multilinear interpolants (the per-point cost of composing theta^{-1}
-    otherwise dominates the optimizer's inner loop)."""
+def _tabulate(box, func):
+    """Sample a tuple-valued function of (B, dim) batches on a tensor grid
+    over ``box`` and return a lookup with the same outputs, read from one
+    packed multilinear interpolant and clamped to the box (the per-point
+    cost of composing theta^{-1} otherwise dominates the optimizer's inner
+    loop).  None if the box has too many dimensions to tabulate."""
     from .zvonkin import GridFunction
 
     per = _TAB_RESOLUTION.get(box.dim)
@@ -148,104 +151,51 @@ def _tabulate(box, funcs):
         return None
     axes = [np.linspace(box.lo[i], box.hi[i], per) for i in range(box.dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    nodes = mesh.reshape(-1, box.dim)
-    out = []
-    for f in funcs:
-        vals = np.asarray(f(nodes), dtype=float)
-        out.append(GridFunction(box=box, axes=axes,
-                                values=vals.reshape(mesh.shape[:-1] + (vals.shape[-1],))))
-    return out
+    parts = func(mesh.reshape(-1, box.dim))
+    bounds = np.cumsum([0] + [p[0].size for p in parts])
+    shapes = [(-1,) + p.shape[1:] for p in parts]
+    packed = np.concatenate([p.reshape(p.shape[0], -1) for p in parts], axis=1)
+    table = GridFunction(box=box, axes=axes, values=packed.reshape(mesh.shape[:-1] + (-1,)))
+    lo, hi = box.lo, box.hi
+
+    def lookup(z):
+        flat = table(np.clip(z, lo, hi))
+        return tuple(flat[:, a:b].reshape(shape)
+                     for a, b, shape in zip(bounds, bounds[1:], shapes))
+
+    return lookup
 
 
 class _Dynamics:
-    """Velocity field z' = b(z) + S(z) hdot for the direct or transformed system."""
+    """Velocity field z' = b(z) + S(z) hdot of the eps = 0 system, direct or
+    transformed: the stepper's coefficients, with the transformed ones read
+    from a table."""
 
     def __init__(self, problem=None, tsde=None):
+        dyn = dynamics(problem if tsde is None else tsde, 0.0)
+        q, coefficients = dyn.n_quiet, dyn.coefficients
         if tsde is not None:
-            self.layout = tsde.layout
-            base = tsde.base
-            self.T = base.horizon_T
-            self.state_dim = base.state_dim
-            self.control_dim = base.noisy_dim
             ibox = tsde.map.interior_box()
-            if self.layout == "nondegenerate":
-                n = base.state_dim
-                drift = tsde.drift_limit()
-                sig = tsde.diffusion()
-                self.x0 = tsde.start()
-                tab = _tabulate(ibox, [drift,
-                                       lambda y: sig(y).reshape(y.shape[0], n * n)])
-                if tab is not None:
-                    drift_gf, sig_gf = tab
-                    lo, hi = ibox.lo, ibox.hi
-
-                    def velocity(z, hdot):
-                        zc = np.clip(z, lo, hi)
-                        s = sig_gf(zc).reshape(-1, n, n)
-                        return drift_gf(zc) + np.einsum("nij,nj->ni", s, hdot)
-                else:
-                    def velocity(z, hdot):
-                        return np.atleast_2d(drift(z)) + \
-                            np.einsum("nij,nj->ni", np.atleast_3d(sig(z)), hdot)
+            if q == 0:
+                # the state is the noisy block: tabulate the coefficients whole
+                coefficients = _tabulate(ibox, coefficients) or coefficients
             else:
-                d1, d2 = base.dims
-                self.x0 = tsde.start()
-                bbar0 = base.bbar.limit
-                Bbar0 = base.Bbar.limit
-                from .zvonkin import theta_inv
+                # the drift depends on x too: tabulate only the pullback of y~
+                coefficients = tsde.coefficients(0.0, pullback=_tabulate(ibox, tsde.pullback))
+        self.T = dyn.horizon
+        self.x0 = dyn.x0
+        self.state_dim = dyn.x0.size
+        self.control_dim = self.state_dim - q
 
-                def inv_fn(y):
-                    return np.atleast_2d(theta_inv(tsde.map, y))
-
-                def grad_fn(y):
-                    jac = tsde.map.u.jacobian(inv_fn(y))
-                    return (jac + np.eye(d2)).reshape(y.shape[0], d2 * d2)
-
-                def sig_fn(y):
-                    back = inv_fn(y)
-                    jac = tsde.map.u.jacobian(back) + np.eye(d2)
-                    s = np.atleast_3d(base.diffusion(back)).reshape(-1, d2, d2)
-                    return (jac @ s).reshape(y.shape[0], d2 * d2)
-
-                tab = _tabulate(ibox, [inv_fn, grad_fn, sig_fn])
-                lo, hi = ibox.lo, ibox.hi
-                if tab is None:
-                    raise ValueError("degenerate transform needs a tabulatable "
-                                     "noisy block (dimension <= 3)")
-                inv_gf, grad_gf, sigt_gf = tab
-
-                def velocity(z, hdot):
-                    x, yt = z[:, :d1], np.clip(z[:, d1:], lo, hi)
-                    yback = inv_gf(yt)
-                    joint = np.concatenate([x, yback], axis=1)
-                    grad = grad_gf(yt).reshape(-1, d2, d2)
-                    st = sigt_gf(yt).reshape(-1, d2, d2)
-                    vx = np.atleast_2d(bbar0(joint))
-                    vy = np.einsum("nij,nj->ni", grad, np.atleast_2d(Bbar0(joint))) + \
-                        np.einsum("nij,nj->ni", st, hdot)
-                    return np.concatenate([vx, vy], axis=1)
+        if q == 0:
+            def velocity(z, hdot):
+                drift, sigma = coefficients(z)
+                return drift + np.einsum("nij,nj->ni", sigma, hdot)
         else:
-            self.layout = problem.layout
-            self.T = problem.horizon_T
-            self.state_dim = problem.state_dim
-            self.control_dim = problem.noisy_dim
-            self.x0 = problem.start.astype(float)
-            if self.layout == "nondegenerate":
-                drift = problem.drift.limit
-                sig = problem.diffusion
-
-                def velocity(z, hdot):
-                    return drift(z) + np.einsum("nij,nj->ni", sig(z), hdot)
-            else:
-                d1, d2 = problem.dims
-                bbar = problem.bbar.limit
-                Bbar = problem.Bbar.limit
-                sig = problem.diffusion
-
-                def velocity(z, hdot):
-                    vx = bbar(z)
-                    vy = Bbar(z) + np.einsum("nij,nj->ni", sig(z[:, d1:]), hdot)
-                    return np.concatenate([vx, vy], axis=1)
+            def velocity(z, hdot):
+                drift, sigma = coefficients(z)    # drift is a fresh concatenation
+                drift[:, q:] += np.einsum("nij,nj->ni", sigma, hdot)
+                return drift
 
         self.velocity = velocity
 
@@ -333,7 +283,7 @@ def _starts(dyn, target, n_intervals, restarts, seed, n_steps):
                 comp_gap[ci] = gap[comp]
         gap_m = comp_gap
     else:
-        gap_m = gap[-m:] if dyn.layout == "degenerate" else gap[:m]
+        gap_m = gap[-m:]    # the noisy block: the whole state, or y
     teleport = np.tile(gap_m / dyn.T, (n_intervals, 1))
     starts.append(teleport)
     for _ in range(max(restarts - 2, 0)):
@@ -432,45 +382,3 @@ def rate_via_transform(problem, zmap, target, **kwargs):
 
     mapped = Target(signed_distance=dist, description=f"theta({target.description})")
     return minimize_rate(problem, mapped, tsde=tsde, **kwargs)
-
-
-def level_set_probe(problem, c, n_samples=100, seed=0, n_intervals=32, n_steps=None):
-    """Sample controls with action <= c and report their skeletons.
-
-    Controls are drawn uniformly on the action ball (Gaussian direction,
-    radius via a uniform power law); the empirical Holder-1/2 modulus of the
-    resulting skeletons is the finite echo of level-set compactness.
-    """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    dyn = _Dynamics(problem=problem)
-    n_steps = n_steps or 4 * n_intervals
-    m = dyn.control_dim
-    dt = dyn.T / n_intervals
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    paths = []
-    moduli = []
-    times = np.linspace(0.0, dyn.T, n_steps + 1)
-    if c == 0:
-        n_samples = 1
-    for i in range(n_samples):
-        g = rng.standard_normal((n_intervals, m))
-        norm2 = np.sum(g ** 2) * dt
-        if c == 0 or norm2 == 0:
-            hdot = np.zeros((n_intervals, m))
-        else:
-            radius = c * rng.random() ** (2.0 / (n_intervals * m))
-            hdot = g * np.sqrt(2.0 * radius / norm2)
-        control = ControlPath(hdot=hdot, horizon_T=dyn.T)
-        sp = skeleton(problem, control, n_steps)
-        paths.append(sp)
-        states = sp.states
-        # Holder-1/2 quotient over a coarse pair grid
-        stride = max(1, n_steps // 32)
-        sub = states[::stride]
-        tsub = times[::stride]
-        diffs = np.linalg.norm(sub[None] - sub[:, None], axis=-1)
-        gaps = np.abs(tsub[None] - tsub[:, None])
-        mask = gaps > 0
-        moduli.append(float(np.max(diffs[mask] / np.sqrt(gaps[mask]))))
-    return paths, (max(moduli) if moduli else 0.0)

@@ -249,6 +249,7 @@ def verb_verify(args):
         print(rep.line())
         _write_json(args.out, f"gate_{rep.name}.json",
                     {"name": rep.name, "passed": rep.passed, "skipped": rep.skipped,
+                     "wall_s": rep.wall_s,
                      "detail": {k: v if isinstance(v, (bool, int, float, str)) else str(v)
                                 for k, v in rep.detail.items()}})
     failed = [r for r in reports if not r.passed and not r.skipped]

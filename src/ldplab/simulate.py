@@ -2,8 +2,8 @@
 systems, with shared-noise coupling for conjugacy and refinement checks.
 
 One batched stepper serves every system: ``dynamics`` builds the start
-point, drift, noise map and box test of a system once, and ``euler`` steps a
-(B, dim) batch of paths through them.  The single-path ``simulate_*``
+point, coefficients (drift and noise map) and box test of a system once, and
+``euler`` steps a (B, dim) batch of paths through them.  The single-path ``simulate_*``
 functions, ``conjugacy_check`` and the Monte Carlo ladders all use it.
 
 Noise is counter-based: every path derives its Brownian increments from a
@@ -72,12 +72,12 @@ class Dynamics(NamedTuple):
     """One system at one eps, as callables on (B, dim) batches of states.
 
     The noise enters the trailing ``dim - n_quiet`` coordinates only:
-    ``sigma(z)`` is (B, noise_dim, noise_dim) and is scaled by sqrt(eps).
+    ``coefficients(z)`` returns the drift (B, dim) and the noise map
+    (B, noise_dim, noise_dim), which is scaled by sqrt(eps).
     """
 
     x0: np.ndarray
-    drift: Callable               # (B, dim) -> (B, dim)
-    sigma: Callable               # (B, dim) -> (B, noise_dim, noise_dim)
+    coefficients: Callable        # (B, dim) -> ((B, dim), (B, noise_dim, noise_dim))
     inside: Callable              # (B, dim) -> (B,) bool: the box paths must stay in
     n_quiet: int                  # leading noise-free coordinates (d1, or 0)
     eps: float
@@ -99,46 +99,33 @@ def dynamics(system, eps, with_singular=True):
 
 def _original_dynamics(problem, eps, with_singular):
     b2 = problem.singular_drift if with_singular and eps != 0.0 else None
+    sigma = problem.diffusion
     if problem.layout == "nondegenerate":
-        b1 = problem.drift.at(eps)
-        n_quiet, sigma = 0, problem.diffusion
+        n_quiet, b1 = 0, problem.drift.at(eps)
 
-        def drift(z):
+        def coefficients(z):
             out = b1(z)
-            return out if b2 is None else out + eps * b2(z)
+            return (out if b2 is None else out + eps * b2(z)), sigma(z)
     else:
         n_quiet = problem.dims[0]
         bbar, Bbar = problem.bbar.at(eps), problem.Bbar.at(eps)
 
-        def drift(z):
+        def coefficients(z):
+            y = z[:, n_quiet:]
             vy = Bbar(z)
             if b2 is not None:
-                vy = vy + eps * b2(z[:, n_quiet:])
-            return np.concatenate([bbar(z), vy], axis=1)
-
-        def sigma(z):
-            return problem.diffusion(z[:, n_quiet:])
-    return Dynamics(problem.start.astype(float), drift, sigma, problem.working_box.contains,
+                vy = vy + eps * b2(y)
+            return np.concatenate([bbar(z), vy], axis=1), sigma(y)
+    return Dynamics(problem.start.astype(float), coefficients, problem.working_box.contains,
                     n_quiet, eps, problem.horizon_T)
 
 
 def _transformed_dynamics(tsde, eps):
-    base, ibox = tsde.base, tsde.map.interior_box()
-    if tsde.layout == "nondegenerate":
-        return Dynamics(tsde.start().astype(float), tsde.drift(eps), tsde.diffusion(),
-                        ibox.contains, 0, eps, base.horizon_T)
-    d1 = base.dims[0]
-    x_drift, y_drift = tsde.degenerate_drifts(eps)
-    xbox = Box(lo=base.working_box.lo[:d1], hi=base.working_box.hi[:d1])
-
-    def drift(z):
-        return np.concatenate([x_drift(z), y_drift(z)], axis=1)
-
-    def inside(z):
-        return xbox.contains(z[:, :d1]) & ibox.contains(z[:, d1:])
-
-    return Dynamics(tsde.start().astype(float), drift, tsde.degenerate_diffusion(), inside,
-                    d1, eps, base.horizon_T)
+    base, ibox, q = tsde.base, tsde.map.interior_box(), tsde.n_quiet
+    box = Box(lo=np.concatenate([base.working_box.lo[:q], ibox.lo]),
+              hi=np.concatenate([base.working_box.hi[:q], ibox.hi]))
+    return Dynamics(tsde.start().astype(float), tsde.coefficients(eps), box.contains, q, eps,
+                    base.horizon_T)
 
 
 def euler(dyn, increments, keep_path=False):
@@ -167,10 +154,10 @@ def euler(dyn, increments, keep_path=False):
             break
         idx = np.nonzero(alive)[0]
         za = z[idx]
-        step = za + dyn.drift(za) * dt
+        drift, sigma = dyn.coefficients(za)
+        step = za + drift * dt
         if dyn.eps != 0.0:
-            step[:, q:] += sqrt_eps * np.einsum("nij,nj->ni", dyn.sigma(za),
-                                                increments[idx, k])
+            step[:, q:] += sqrt_eps * np.einsum("nij,nj->ni", sigma, increments[idx, k])
         ok = np.all(np.isfinite(step), axis=1) & dyn.inside(step)
         z[idx[ok]] = step[ok]
         alive[idx[~ok]] = False

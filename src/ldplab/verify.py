@@ -8,6 +8,7 @@ exactly a criterion passing there.  Gates print nothing; callers render
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -32,12 +33,14 @@ class GateReport:
     passed: bool
     detail: dict = field(default_factory=dict)
     skipped: bool = False
+    wall_s: float | None = None   # set by run_gates; None for a skipped gate
 
     def line(self):
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         info = " ".join(f"{k}={v:.5g}" if isinstance(v, float) else f"{k}={v}"
                         for k, v in self.detail.items())
-        return f"[{status}] {self.name}: {info}"
+        wall = "" if self.wall_s is None else f" wall_s={self.wall_s:.3g}"
+        return f"[{status}] {self.name}: {info}{wall}"
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,7 @@ def gate_constant_resolvent(seed=0):
     expected_lambda0 = 2.0  # first ladder value with |c|/lambda <= 1/2
     ok = err <= 1e-8 and res.lambda0 == expected_lambda0 and res.map.certified
     return GateReport("constant_resolvent_exactness", ok,
-                      {"sup_error": f"{err:.3e}", "lambda0": res.lambda0,
+                      {"sup_error": err, "lambda0": res.lambda0,
                        "expected": expected_lambda0})
 
 
@@ -96,7 +99,7 @@ def gate_norm_certificate(seed=0):
     monotone = all(s2 <= s1 + 1e-12 for s1, s2 in zip(sums, sums[1:]))
     ok = res.map.certified and res.map.norm_sum <= 0.5 and monotone
     return GateReport("norm_certificate", ok,
-                      {"lambda0": res.lambda0, "norm_sum": f"{res.map.norm_sum:.4f}",
+                      {"lambda0": res.lambda0, "norm_sum": res.map.norm_sum,
                        "ladder_sums": "[" + ",".join(f"{s:.3f}" for s in sums) + "]",
                        "monotone": monotone})
 
@@ -120,8 +123,8 @@ def gate_homeomorphism_roundtrip(seed=0):
             worst_ratio = max(worst_ratio, s2 / s1)
     ok = worst_err <= 1e-10 and worst_ratio <= 0.5 + 1e-6
     return GateReport("homeomorphism_roundtrip", ok,
-                      {"max_roundtrip_error": f"{worst_err:.3e}",
-                       "max_contraction_ratio": f"{worst_ratio:.4f}"})
+                      {"max_roundtrip_error": worst_err,
+                       "max_contraction_ratio": worst_ratio})
 
 
 def gate_ito_conjugacy(seed=2024, n_paths=8):
@@ -163,10 +166,10 @@ def gate_rate_oracles(seed=0):
     err_ou = abs(r_ou.value - ou_exact) / ou_exact
     ok = err_free <= 0.01 and err_ou <= 0.01
     return GateReport("rate_oracles", ok,
-                      {"free_value": f"{r_free.value:.5f}", "free_exact": free_exact,
-                       "free_rel_err": f"{err_free:.2e}",
-                       "ou_value": f"{r_ou.value:.5f}", "ou_exact": f"{ou_exact:.5f}",
-                       "ou_rel_err": f"{err_ou:.2e}"})
+                      {"free_value": r_free.value, "free_exact": free_exact,
+                       "free_rel_err": err_free,
+                       "ou_value": r_ou.value, "ou_exact": float(ou_exact),
+                       "ou_rel_err": float(err_ou)})
 
 
 def gate_transform_rate_identity(seed=0):
@@ -196,9 +199,9 @@ def gate_transform_rate_identity(seed=0):
         worst = max(worst, float(np.max(np.linalg.norm(mapped - gy.states, axis=-1))))
     ok = rel <= 0.02 and worst <= 10.0 * tol
     return GateReport("transform_rate_identity", ok,
-                      {"direct": f"{direct.value:.5f}", "through": f"{through.value:.5f}",
-                       "rel_gap": f"{rel:.2e}", "skeleton_sup_err": f"{worst:.2e}",
-                       "allowance": f"{10.0 * tol:.2e}"})
+                      {"direct": direct.value, "through": through.value,
+                       "rel_gap": rel, "skeleton_sup_err": worst,
+                       "allowance": float(10.0 * tol)})
 
 
 _GAUSS_LADDER = (0.5, 0.25, 0.125, 0.0625)
@@ -252,10 +255,9 @@ def gate_singular_insensitivity(seed=2024, n_paths=100_000, n_steps=256):
     rel = diff / max(abs(without.slope), 1e-12)
     ok = diff <= 2.0 * combined and rel <= 0.10
     return GateReport("singular_insensitivity", ok,
-                      {"slope_with": f"{with_b2.slope:.5f}",
-                       "slope_without": f"{without.slope:.5f}",
-                       "diff": f"{diff:.5f}", "2x_stderr": f"{2 * combined:.5f}",
-                       "rel": f"{rel:.3f}"}), with_b2, without
+                      {"slope_with": with_b2.slope, "slope_without": without.slope,
+                       "diff": diff, "2x_stderr": float(2 * combined),
+                       "rel": rel}), with_b2, without
 
 
 _DEGEN_LADDER = (1.0 / 36, 1.0 / 54, 1.0 / 72)
@@ -279,8 +281,8 @@ def gate_degenerate_slope(seed=2024, n_paths=1_000_000, n_steps=256):
     noise_free = bool(np.max(dx) <= bbar_sup * dt + 1e-12)
     ok = rel <= 0.15 and noise_free
     return GateReport("degenerate_slope", ok,
-                      {"slope": f"{est.slope:.5f}", "rate": f"{rate.value:.5f}",
-                       "rel_err": f"{rel:.3f}", "x_noise_free": noise_free,
+                      {"slope": est.slope, "rate": rate.value,
+                       "rel_err": rel, "x_noise_free": noise_free,
                        "p_hats": "[" + ",".join(f"{p.p_hat:.3e}" for p in est.ladder) + "]"}), est, rate
 
 
@@ -358,30 +360,28 @@ def run_gates(names=None, seed=2024, skip=()):
             reports.append(GateReport(name, True, {"note": "explicitly skipped"},
                                       skipped=True))
             continue
-        if name == "bound_checks" and {"gaussian_slope", "singular_insensitivity",
-                                       "degenerate_slope"} <= shared.keys():
-            result = gate_bound_checks(seed=seed, ladders=[
-                (shared["gaussian_slope"], 0.5),
-                (shared["singular_insensitivity"], 0.5),
-                (shared["degenerate_slope"][0], shared["degenerate_slope"][1]),
-            ])
-            reports.append(_first_report(result))
-            continue
+        start = time.perf_counter()
         try:
-            if name in ("gaussian_slope", "singular_insensitivity", "degenerate_slope",
-                        "bound_checks"):
+            if name == "bound_checks" and {"gaussian_slope", "singular_insensitivity",
+                                           "degenerate_slope"} <= shared.keys():
+                result = gate_bound_checks(seed=seed, ladders=[
+                    (shared["gaussian_slope"], 0.5),
+                    (shared["singular_insensitivity"], 0.5),
+                    (shared["degenerate_slope"][0], shared["degenerate_slope"][1]),
+                ])
+            elif name in ("gaussian_slope", "singular_insensitivity", "degenerate_slope",
+                          "bound_checks"):
                 result = fn(seed=seed)
             else:
                 result = fn()
         except Exception as exc:  # a crashed gate is a failed gate
-            reports.append(GateReport(name, False, {"error": repr(exc)}))
-            continue
-        report = _first_report(result)
-        if name == "gaussian_slope":
-            shared[name] = result[1]
-        elif name == "singular_insensitivity":
-            shared[name] = result[1]
-        elif name == "degenerate_slope":
-            shared[name] = (result[1], result[2].value)
+            report = GateReport(name, False, {"error": repr(exc)})
+        else:
+            report = _first_report(result)
+            if name in ("gaussian_slope", "singular_insensitivity"):
+                shared[name] = result[1]
+            elif name == "degenerate_slope":
+                shared[name] = (result[1], result[2].value)
+        report.wall_s = time.perf_counter() - start
         reports.append(report)
     return reports

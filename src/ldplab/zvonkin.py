@@ -397,7 +397,13 @@ def theta_inv(zmap, y, tol=1e-12, max_iters=200, record_steps=False):
 
 @dataclass
 class TransformedSde:
-    """Coefficients of the conjugated system driven through theta."""
+    """The system conjugated through theta (Zvonkin's change of variables).
+
+    Only the noisy block Y goes through theta: with Y~ = theta(Y), its drift
+    is (grad theta . b) o theta^{-1} + eps*lambda*u o theta^{-1} and its
+    diffusion (grad theta . sigma) o theta^{-1}.  A noise-free block X (the
+    degenerate layout) keeps its drift, evaluated at (x, theta^{-1}(y~)).
+    """
 
     base: object          # the source SdeProblem
     map: ZvonkinMap
@@ -407,96 +413,43 @@ class TransformedSde:
             raise SolveFailure("transform requires a certified map")
 
     @property
-    def layout(self):
-        return self.base.layout
+    def n_quiet(self):
+        """Leading noise-free coordinates left unchanged by theta (d1, or 0)."""
+        return self.base.state_dim - self.base.noisy_dim
 
     def start(self):
-        x0 = self.base.start
-        if self.layout == "nondegenerate":
-            return theta(self.map, x0)
-        d1, _ = self.base.dims
-        return np.concatenate([x0[:d1], theta(self.map, x0[d1:])])
+        x0, q = self.base.start, self.n_quiet
+        return np.concatenate([x0[:q], theta(self.map, x0[q:])])
 
-    def _inv(self, y):
-        return theta_inv(self.map, y)
+    def pullback(self, yt):
+        """(y, grad theta(y), grad theta(y) sigma(y)) at y = theta^{-1}(yt),
+        for a (B, m) batch of transformed noisy states."""
+        y = theta_inv(self.map, yt)
+        grad = self.map.u.jacobian(y) + np.eye(self.map.u.m)
+        return y, grad, grad @ self.base.diffusion(y)
 
-    def _grad_theta(self, x):
-        jac = self.map.u.jacobian(x)
-        eye = np.eye(self.map.u.m)
-        return jac + eye
+    def coefficients(self, eps, pullback=None):
+        """The transformed coefficients at ``eps`` as one callable on (B, dim)
+        joint states (x, y~): z -> (drift (B, dim), diffusion (B, m, m)).
 
-    # non-degenerate coefficients ------------------------------------------
-    def drift(self, eps):
-        base, zmap = self.base, self.map
-
-        def func(y):
-            x = self._inv(y)
-            pts = np.atleast_2d(x)
-            grad = self._grad_theta(pts)
-            b1 = np.atleast_2d(base.drift.at(eps)(pts))
-            out = np.einsum("nij,nj->ni", grad, b1)
-            if eps != 0.0:
-                out = out + eps * zmap.lam * np.atleast_2d(zmap.u(pts))
-            return out if np.asarray(y).ndim > 1 else out[0]
-
-        return func
-
-    def drift_limit(self):
-        return self.drift(0.0)
-
-    def diffusion(self):
-        base = self.base
-
-        def func(y):
-            x = self._inv(y)
-            pts = np.atleast_2d(x)
-            grad = self._grad_theta(pts)
-            sig = base.diffusion(pts)
-            out = grad @ np.atleast_3d(sig).reshape(pts.shape[0], base.noisy_dim,
-                                                    base.noisy_dim)
-            return out if np.asarray(y).ndim > 1 else out[0]
-
-        return func
-
-    # degenerate coefficients ----------------------------------------------
-    def degenerate_drifts(self, eps):
-        """Returns (x-drift, y-drift) callables on the joint state (x, ytilde)."""
-        base, zmap = self.base, self.map
-        d1, d2 = base.dims
-
-        def split(z):
-            pts = np.atleast_2d(z)
-            x, yt = pts[:, :d1], pts[:, d1:]
-            yorig = theta_inv(zmap, yt)
-            return pts, np.concatenate([x, np.atleast_2d(yorig)], axis=1), np.atleast_2d(yorig)
-
-        def x_drift(z):
-            pts, joint, _ = split(z)
-            out = np.atleast_2d(base.bbar.at(eps)(joint))
-            return out if np.asarray(z).ndim > 1 else out[0]
-
-        def y_drift(z):
-            pts, joint, yorig = split(z)
-            grad = self._grad_theta(yorig)
-            Bb = np.atleast_2d(base.Bbar.at(eps)(joint))
-            out = np.einsum("nij,nj->ni", grad, Bb)
-            if eps != 0.0:
-                out = out + eps * zmap.lam * np.atleast_2d(zmap.u(yorig))
-            return out if np.asarray(z).ndim > 1 else out[0]
-
-        return x_drift, y_drift
-
-    def degenerate_diffusion(self):
-        base, zmap = self.base, self.map
-        d1, d2 = base.dims
+        ``pullback`` stands in for ``self.pullback`` (a tabulated copy, say).
+        """
+        zmap, q = self.map, self.n_quiet
+        pullback = pullback or self.pullback
+        if q == 0:
+            noisy_drift = self.base.drift.at(eps)
+        else:
+            quiet_drift, noisy_drift = self.base.bbar.at(eps), self.base.Bbar.at(eps)
 
         def func(z):
-            pts = np.atleast_2d(z)
-            yorig = np.atleast_2d(theta_inv(zmap, pts[:, d1:]))
-            grad = self._grad_theta(yorig)
-            sig = np.atleast_3d(base.diffusion(yorig)).reshape(pts.shape[0], d2, d2)
-            out = grad @ sig
-            return out if np.asarray(z).ndim > 1 else out[0]
+            y, grad, sigma = pullback(z[:, q:])
+            joint = np.concatenate([z[:, :q], y], axis=1) if q else y
+            drift = np.einsum("nij,nj->ni", grad, noisy_drift(joint))
+            if eps != 0.0:
+                drift = drift + eps * zmap.lam * zmap.u(y)
+            if q:
+                drift = np.concatenate([quiet_drift(joint), drift], axis=1)
+            return drift, sigma
 
         return func
 

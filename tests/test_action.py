@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ldplab.action import (ControlPath, action, ball_target, half_space_target,
-                           level_set_probe, minimize_rate, predicate_target,
-                           rate_via_transform, skeleton)
+                           minimize_rate, predicate_target, rate_via_transform, skeleton)
 from ldplab.problems import load_problem
+from ldplab.zvonkin import find_lambda0, theta, transform
 
 
 def test_action_of_constant_control():
@@ -93,16 +93,15 @@ def test_action_invariant_under_transform_pairing():
     assert action(c) == action(c)
 
 
-def test_level_set_probe_bounded_modulus():
-    problem = load_problem("free-endpoint")
-    paths, modulus = level_set_probe(problem, 2.0, n_samples=50, seed=1)
-    assert len(paths) == 50
-    assert modulus <= 2.0 * np.sqrt(2 * 2.0) + 1.0  # |g_t - g_s| <= sqrt(2c)|t-s|^{1/2}
-    for p in paths:
-        assert action(p.control) <= 2.0 + 1e-9
-
-
-def test_level_set_probe_zero_level():
-    problem = load_problem("free-endpoint")
-    paths, modulus = level_set_probe(problem, 0.0, n_samples=5, seed=1)
-    assert modulus == pytest.approx(0.0, abs=1e-12)
+def test_skeleton_degenerate_transformed_conjugate():
+    """The same controls drive (X, Y) and the transformed (X, theta(Y)) skeletons."""
+    problem = load_problem("hamiltonian-2d")
+    zmap = find_lambda0(problem, resolution=257).map
+    tsde = transform(problem, zmap)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for _ in range(5):
+        control = ControlPath(hdot=0.5 * rng.standard_normal((8, 1)), horizon_T=1.0)
+        mapped = skeleton(problem, control, 256).states
+        mapped[:, 1:] = theta(zmap, mapped[:, 1:])
+        through = skeleton(problem, control, 256, tsde=tsde).states
+        assert np.max(np.linalg.norm(mapped - through, axis=-1)) <= 1e-3

@@ -152,3 +152,13 @@ def test_verify_subset_with_skip(tmp_path, capsys):
     assert "[PASS] dini_classification" in out
     report = json.loads((tmp_path / "gate_constant_resolvent_exactness.json").read_text())
     assert report["skipped"]
+    timed = json.loads((tmp_path / "gate_dini_classification.json").read_text())
+    assert isinstance(timed["wall_s"], float) and timed["wall_s"] >= 0
+    assert "wall_s=" in out
+
+
+def test_verify_writes_numbers(tmp_path):
+    assert main(["verify", "--out", str(tmp_path),
+                 "--gates", "constant_resolvent_exactness"]) == 0
+    report = json.loads((tmp_path / "gate_constant_resolvent_exactness.json").read_text())
+    assert isinstance(report["detail"]["sup_error"], float)

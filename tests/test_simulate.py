@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldplab import zvonkin
 from ldplab.problems import load_problem
 from ldplab.simulate import (EscapeError, brownian_increments, coarsen_increments,
                              conjugacy_check, dynamics, euler, simulate_degenerate,
@@ -134,3 +135,23 @@ def test_transformed_path_reproducible(dini_problem, dini_map):
     p1 = simulate_transformed(tsde, 0.5, 100, seed=2)
     p2 = simulate_transformed(tsde, 0.5, 100, seed=2)
     assert np.array_equal(p1.states, p2.states)
+
+
+@pytest.mark.parametrize("name", ["dini-tanhlog-1d", "hamiltonian-2d"])
+def test_transformed_step_inverts_theta_once(name, dini_problem, dini_map, hamiltonian_map,
+                                             monkeypatch):
+    """Drift and noise map of a transformed step share one theta^-1 solve."""
+    problem, zmap = (dini_problem, dini_map) if name == "dini-tanhlog-1d" else hamiltonian_map
+    tsde = transform(problem, zmap)
+    calls = []
+    inverse = zvonkin.theta_inv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(zvonkin, "theta_inv", counting)
+    inc = np.stack([brownian_increments(3, i, 50, 1, 1.0 / 50) for i in range(4)])
+    _, alive, _ = euler(dynamics(tsde, 0.5), inc)
+    assert alive.all()
+    assert len(calls) == 50

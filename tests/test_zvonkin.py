@@ -69,7 +69,11 @@ def test_theta_inv_requires_certificate():
 def test_transform_drift_is_lipschitz(dini_problem, dini_map):
     """The composed limit drift must be Lipschitz even though b2 is not."""
     tsde = transform(dini_problem, dini_map)
-    drift = tsde.drift_limit()
+    coefficients = tsde.coefficients(0.0)
+
+    def drift(z):
+        return coefficients(z)[0]
+
     box = dini_map.interior_box()
     rng = np.random.Generator(np.random.Philox(key=5))
     pts = box.sample(rng, 500)
