@@ -11,9 +11,11 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .action import ball_target, half_space_target, minimize_rate
@@ -37,7 +39,9 @@ EXIT_NO_CONVERGENCE = 3
 def _write_manifest(out_dir, verb, config):
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"format_version": FORMAT_VERSION, "tool_version": __version__,
-                "verb": verb, "config": config}
+                "verb": verb, "config": config,
+                "versions": {"python": platform.python_version(),
+                             "numpy": np.__version__, "scipy": scipy.__version__}}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -134,6 +138,7 @@ def verb_zvonkin(args):
     _write_json(args.out, "certificate.json", {
         "lambda0": res.lambda0, "norms": list(zmap.norms), "norm_sum": zmap.norm_sum,
         "residual": zmap.residual, "certified": zmap.certified,
+        "picard_iters": zmap.picard_iters, "resolution": args.resolution,
         "trail": [{"lambda": l, "norms": list(n), "sum": s} for l, n, s in res.trail]})
     return EXIT_OK
 
@@ -147,8 +152,8 @@ def verb_simulate(args):
         return _fail("--eps must lie in [0, 1]; --n-steps and --n-paths must be positive",
                      EXIT_INPUT_ERROR)
     dt = problem.horizon_T / args.n_steps
-    increments = np.stack([brownian_increments(args.seed, i, args.n_steps, problem.noisy_dim, dt)
-                           for i in range(args.n_paths)])
+    increments = brownian_increments(args.seed, range(args.n_paths), args.n_steps,
+                                     problem.noisy_dim, dt)
     _, alive, paths = euler(dynamics(problem, args.eps), increments, keep_path=True)
     times = np.arange(args.n_steps + 1) * dt
     for i in range(args.n_paths):
@@ -222,7 +227,9 @@ def verb_ldp(args):
         fh.write(est.as_csv())
     payload = {"slope": est.slope, "stderr": est.slope_stderr,
                "points_used": est.per_eps_points,
-               "with_singular": not args.no_singular}
+               "with_singular": not args.no_singular,
+               "ladder": [{"eps": pt.eps, "hits": pt.hits, "escapes": pt.escapes,
+                           "noise_s": pt.noise_s, "step_s": pt.step_s} for pt in est.ladder]}
     if args.rate_value is not None:
         from .ldp import bound_check
         from types import SimpleNamespace

@@ -10,7 +10,8 @@ noise exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -70,6 +71,8 @@ class LadderPoint:
     ci_lo: float
     ci_hi: float
     escapes: int = 0
+    noise_s: float = field(default=0.0, compare=False)   # wall time drawing increments
+    step_s: float = field(default=0.0, compare=False)    # wall time stepping the paths
 
 
 @dataclass
@@ -81,10 +84,10 @@ class LdpEstimate:
     with_singular: bool = True
 
     def as_csv(self):
-        lines = ["eps,n_paths,hits,p_hat,ci_lo,ci_hi"]
+        lines = ["eps,n_paths,hits,p_hat,ci_lo,ci_hi,escapes"]
         for pt in self.ladder:
             lines.append(f"{pt.eps},{pt.n_paths},{pt.hits},{pt.p_hat:.10g},"
-                         f"{pt.ci_lo:.10g},{pt.ci_hi:.10g}")
+                         f"{pt.ci_lo:.10g},{pt.ci_hi:.10g},{pt.escapes}")
         return "\n".join(lines) + "\n"
 
 
@@ -123,11 +126,8 @@ def wilson_interval(hits, n, z=1.959963984540054):
 def _chunk_increments(seed, point_index, path_lo, path_hi, n_steps, dim, dt):
     """Increments of paths path_lo..path_hi-1 at one ladder point, each keyed
     by (point seed, path index) through ``brownian_increments``."""
-    out = np.empty((path_hi - path_lo, n_steps, dim))
     point_seed = (int(seed) + int(point_index) * 0x9E3779B97F4A7C15) % 2 ** 64
-    for i in range(path_lo, path_hi):
-        out[i - path_lo] = brownian_increments(point_seed, i, n_steps, dim, dt)
-    return out
+    return brownian_increments(point_seed, range(path_lo, path_hi), n_steps, dim, dt)
 
 
 def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True):
@@ -142,7 +142,8 @@ def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True
 
 def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
                          with_singular=True, point_index=0, chunk=_CHUNK):
-    """Monte Carlo event probability with Wilson 95% interval and escape count."""
+    """Monte Carlo event probability with Wilson 95% interval, escape count
+    and the wall time spent drawing noise and stepping paths."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
@@ -150,10 +151,15 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
     dt = problem.horizon_T / n_steps
     hits = 0
     escapes = 0
+    noise_s = step_s = 0.0
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
+        t0 = perf_counter()
         inc = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
+        t1 = perf_counter()
         hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, inc, with_singular)
+        noise_s += t1 - t0
+        step_s += perf_counter() - t1
         hits += int(np.sum(hit_mask & ~esc_mask))
         escapes += int(np.sum(esc_mask))
     if escapes == n_paths:
@@ -161,7 +167,8 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
     p_hat = hits / n_paths
     lo_ci, hi_ci = wilson_interval(hits, n_paths)
     return LadderPoint(eps=float(eps), n_paths=n_paths, hits=hits, p_hat=p_hat,
-                       ci_lo=lo_ci, ci_hi=hi_ci, escapes=escapes)
+                       ci_lo=lo_ci, ci_hi=hi_ci, escapes=escapes, noise_s=noise_s,
+                       step_s=step_s)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 
+_NOISE_BLOCK = 256            # paths drawn before one transpose into the batch
+
+
 class EscapeError(RuntimeError):
     def __init__(self, state):
         super().__init__(f"path left the box or turned non-finite; last state inside: {state}")
@@ -52,11 +55,33 @@ class PathSample:
     dt: float
 
 
-def brownian_increments(seed, path_index, n_steps, dim, dt):
-    """Increments dW_k ~ N(0, dt I), a pure function of (seed, path_index)."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, path_index],
-                                                            dtype=np.uint64)))
-    return gen.standard_normal((n_steps, dim)) * np.sqrt(dt)
+def brownian_increments(seed, paths, n_steps, dim, dt):
+    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range or
+    sequence of path indices), as a (len(paths), n_steps, dim) batch.
+
+    Path i's row is the standard-normal stream of Philox keyed by
+    (seed, i), a pure function of (seed, i).  One generator is re-keyed and
+    reset (counter 0, empty buffer) for each path instead of being rebuilt.
+    The batch is a view of time-major storage, so that the stepper reads the
+    increments of one step, ``batch[:, k]``, from contiguous memory; rows are
+    drawn in blocks of ``_NOISE_BLOCK`` paths and transposed into place.
+    """
+    out = np.empty((n_steps, len(paths), dim))
+    block = np.empty((min(_NOISE_BLOCK, len(paths)), n_steps, dim))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    for lo in range(0, len(paths), _NOISE_BLOCK):
+        part = paths[lo:lo + _NOISE_BLOCK]
+        rows = block[:len(part)]
+        for row, i in zip(rows, part):
+            key[1] = i
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        out[:, lo:lo + len(rows)] = rows.transpose(1, 0, 2)
+    out *= np.sqrt(dt)
+    return out.transpose(1, 0, 2)
 
 
 def coarsen_increments(increments, factor):
@@ -132,11 +157,11 @@ def euler(dyn, increments, keep_path=False):
     """Explicit Euler-Maruyama for a batch of paths driven by ``increments``.
 
     ``increments`` is (B, n_steps, noise_dim); dt = horizon / n_steps, and
-    the noise is added only when eps != 0.  Only live rows are stepped: a
-    row that leaves the box or turns non-finite is frozen at its last state
-    inside the box and marked dead.  Returns (final states (B, dim), alive
-    mask (B,), path), where path is (B, n_steps + 1, dim) if ``keep_path``
-    and None otherwise.
+    the noise is added only when eps != 0.  Every row is stepped, and a row
+    that leaves the box or turns non-finite is marked dead and frozen from
+    then on at its last state inside the box.  Returns (final states
+    (B, dim), alive mask (B,), path), where path is (B, n_steps + 1, dim) if
+    ``keep_path`` and None otherwise.
     """
     B, n_steps = increments.shape[:2]
     dt = dyn.horizon / n_steps
@@ -152,15 +177,12 @@ def euler(dyn, increments, keep_path=False):
             if keep_path:
                 path[:, k + 1:] = z[:, None, :]
             break
-        idx = np.nonzero(alive)[0]
-        za = z[idx]
-        drift, sigma = dyn.coefficients(za)
-        step = za + drift * dt
+        drift, sigma = dyn.coefficients(z)
+        step = z + drift * dt
         if dyn.eps != 0.0:
-            step[:, q:] += sqrt_eps * np.einsum("nij,nj->ni", sigma, increments[idx, k])
-        ok = np.all(np.isfinite(step), axis=1) & dyn.inside(step)
-        z[idx[ok]] = step[ok]
-        alive[idx[~ok]] = False
+            step[:, q:] += sqrt_eps * np.einsum("nij,nj->ni", sigma, increments[:, k])
+        alive &= np.all(np.isfinite(step), axis=1) & dyn.inside(step)
+        z = np.where(alive[:, None], step, z)
         if keep_path:
             path[:, k + 1] = z
     return z, alive, path
@@ -175,8 +197,10 @@ def _single_path(system, eps, n_steps, seed, path_index, increments, with_singul
     dt = dyn.horizon / n_steps
     if increments is None:
         noise_dim = dyn.x0.size - dyn.n_quiet
-        increments = brownian_increments(seed, path_index, n_steps, noise_dim, dt)
-    _, alive, path = euler(dyn, increments[None], keep_path=True)
+        batch = brownian_increments(seed, [path_index], n_steps, noise_dim, dt)
+    else:
+        batch = increments[None]
+    _, alive, path = euler(dyn, batch, keep_path=True)
     if not alive[0]:
         raise EscapeError(path[0, -1])
     return PathSample(times=np.arange(n_steps + 1) * dt, states=path[0], seed=seed,

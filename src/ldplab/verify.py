@@ -140,8 +140,7 @@ def gate_ito_conjugacy(seed=2024, n_paths=8):
     eps = 0.5
     fine_steps = 800
     dt_fine = problem.horizon_T / fine_steps
-    fine = np.stack([brownian_increments(seed, pi, fine_steps, problem.noisy_dim, dt_fine)
-                     for pi in range(n_paths)])
+    fine = brownian_increments(seed, range(n_paths), fine_steps, problem.noisy_dim, dt_fine)
     discrepancies = []
     for level in range(4):
         inc = coarsen_increments(fine, 2 ** (3 - level))

@@ -1,12 +1,15 @@
 import json
+import platform
 from importlib.resources import files
 
 import numpy as np
 import pytest
+import scipy
 
 from ldplab.cli import main
 from ldplab.problems import load_problem
 from ldplab.simulate import simulate_original
+from ldplab.zvonkin import find_lambda0
 
 
 def test_version_flag(capsys):
@@ -20,6 +23,8 @@ def test_validate_bundled_problem(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["verb"] == "validate"
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
     report = json.loads((tmp_path / "validate.json").read_text())
     assert all(c["passed"] for c in report["checks"])
 
@@ -63,6 +68,9 @@ def test_zvonkin_writes_certificate(tmp_path):
     assert code == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["certified"]
+    assert cert["resolution"] == 129
+    expected = find_lambda0(load_problem("dini-tanhlog-1d"), resolution=129).map
+    assert cert["picard_iters"] == expected.picard_iters >= 1
     assert (tmp_path / "map.json").exists()
     assert (tmp_path / "map_values.csv").exists()
 
@@ -125,8 +133,15 @@ def test_ldp_verb_small_ladder(tmp_path):
     payload = json.loads((tmp_path / "ldp.json").read_text())
     assert payload["slope"] < 0
     lines = (tmp_path / "ladder.csv").read_text().splitlines()
-    assert lines[0] == "eps,n_paths,hits,p_hat,ci_lo,ci_hi"
+    assert lines[0] == "eps,n_paths,hits,p_hat,ci_lo,ci_hi,escapes"
     assert len(lines) == 4
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [pt["eps"] for pt in payload["ladder"]] == [1.0, 0.5, 0.25]
+    for row, pt in zip(rows, payload["ladder"]):
+        assert float(row["eps"]) == pt["eps"]
+        assert int(row["hits"]) == pt["hits"]
+        assert int(row["escapes"]) == pt["escapes"] == 0
+        assert pt["noise_s"] > 0 and pt["step_s"] > 0
 
 
 def test_ldp_reproducible(tmp_path):

@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -11,22 +13,41 @@ from ldplab.zvonkin import find_lambda0, transform
 
 
 def test_increments_reproducible_and_independent():
-    a = brownian_increments(7, 0, 100, 2, 0.01)
-    b = brownian_increments(7, 0, 100, 2, 0.01)
-    c = brownian_increments(7, 1, 100, 2, 0.01)
+    a = brownian_increments(7, [0], 100, 2, 0.01)[0]
+    b = brownian_increments(7, [0], 100, 2, 0.01)[0]
+    c = brownian_increments(7, [1], 100, 2, 0.01)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (100, 2)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_increments_equal_per_path_streams(dim):
+    """The batch reproduces, row for row, one freshly keyed Philox per path,
+    also across the blocks in which the batch is drawn."""
+    s = (2024 + 2 * 0x9E3779B97F4A7C15) % 2 ** 64     # ladder point seed at j = 2
+    n_steps, dt = 64, 1.0 / 64
+    batch = brownian_increments(s, range(5, 37), n_steps, dim, dt)
+    assert batch.shape == (32, n_steps, dim)
+    for row, i in zip(batch, range(5, 37)):
+        expected = np.random.Generator(np.random.Philox(
+            key=np.array([s, i], dtype=np.uint64))).standard_normal((n_steps, dim)) * np.sqrt(dt)
+        assert np.array_equal(row, expected)
+    large = brownian_increments(s, range(600), n_steps, dim, dt)
+    for i in (0, 255, 256, 511, 512, 599):
+        expected = np.random.Generator(np.random.Philox(
+            key=np.array([s, i], dtype=np.uint64))).standard_normal((n_steps, dim)) * np.sqrt(dt)
+        assert np.array_equal(large[i], expected)
+
+
 def test_increments_variance():
     dt = 0.25
-    inc = brownian_increments(0, 0, 20000, 1, dt)
+    inc = brownian_increments(0, [0], 20000, 1, dt)[0]
     assert np.var(inc) == pytest.approx(dt, rel=0.05)
 
 
 def test_coarsen_preserves_total():
-    inc = brownian_increments(3, 0, 64, 1, 0.01)
+    inc = brownian_increments(3, [0], 64, 1, 0.01)[0]
     coarse = coarsen_increments(inc, 4)
     assert coarse.shape == (16, 1)
     assert np.allclose(coarse.sum(axis=0), inc.sum(axis=0))
@@ -54,7 +75,7 @@ def test_simulate_reproducible():
 def test_brownian_terminal_matches_increment_sum():
     problem = load_problem("brownian-1d")
     path = simulate_original(problem, 0.25, 128, seed=4)
-    increments = brownian_increments(4, 0, 128, 1, problem.horizon_T / 128)
+    increments = brownian_increments(4, [0], 128, 1, problem.horizon_T / 128)[0]
     assert path.states[-1, 0] == pytest.approx(0.5 * increments.sum(), rel=1e-12)
 
 
@@ -76,7 +97,7 @@ def test_degenerate_x_block_noise_free():
 
 def _one_path_increments(problem, n_steps, seed):
     dt = problem.horizon_T / n_steps
-    return brownian_increments(seed, 0, n_steps, problem.noisy_dim, dt)[None]
+    return brownian_increments(seed, [0], n_steps, problem.noisy_dim, dt)
 
 
 def test_conjugacy_eps_zero_is_integrator_mismatch(dini_problem, dini_map):
@@ -118,7 +139,7 @@ def test_batch_rows_equal_single_paths(system, dini_problem, dini_map, hamiltoni
                                    simulate_transformed_degenerate),
     }[system]
     n_steps = 200
-    inc = np.stack([brownian_increments(5, i, n_steps, 1, 1.0 / n_steps) for i in range(8)])
+    inc = brownian_increments(5, range(8), n_steps, 1, 1.0 / n_steps)
     _, alive, paths = euler(dynamics(source, 0.5), inc, keep_path=True)
     assert alive.all()
     for i in range(8):
@@ -151,7 +172,29 @@ def test_transformed_step_inverts_theta_once(name, dini_problem, dini_map, hamil
         return inverse(*args, **kwargs)
 
     monkeypatch.setattr(zvonkin, "theta_inv", counting)
-    inc = np.stack([brownian_increments(3, i, 50, 1, 1.0 / 50) for i in range(4)])
+    inc = brownian_increments(3, range(4), 50, 1, 1.0 / 50)
     _, alive, _ = euler(dynamics(tsde, 0.5), inc)
     assert alive.all()
     assert len(calls) == 50
+
+
+def test_batch_freezes_escaped_rows(tmp_path):
+    """Escaped rows of a batch stop where the single-path wrapper reports the
+    escape; surviving rows end where the single path ends."""
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+                      .replace("box_lo = -6.0", "box_lo = -1.5")
+                      .replace("box_hi = 6.0", "box_hi = 1.5"))
+    problem = load_problem(str(narrow))
+    n_paths, n_steps, seed = 16, 32, 3
+    inc = brownian_increments(seed, range(n_paths), n_steps, 1, problem.horizon_T / n_steps)
+    z, alive, _ = euler(dynamics(problem, 1.0), inc)
+    assert 0 < np.sum(~alive) < n_paths
+    for i in range(n_paths):
+        if alive[i]:
+            path = simulate_original(problem, 1.0, n_steps, seed, path_index=i)
+            assert np.array_equal(z[i], path.states[-1])
+        else:
+            with pytest.raises(EscapeError) as info:
+                simulate_original(problem, 1.0, n_steps, seed, path_index=i)
+            assert np.array_equal(z[i], info.value.state)
