@@ -45,15 +45,6 @@ class ControlPath:
     def n_intervals(self):
         return self.hdot.shape[0]
 
-    @property
-    def control_dim(self):
-        return self.hdot.shape[1]
-
-    def value_at_step(self, step, n_steps):
-        """Control value on integrator step `step` (n_steps multiple of intervals)."""
-        per = n_steps // self.n_intervals
-        return self.hdot[min(step // per, self.n_intervals - 1)]
-
 
 @dataclass
 class SkeletonPath:

@@ -13,6 +13,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -20,7 +21,7 @@ import scipy
 from . import __version__
 from .action import ball_target, half_space_target, minimize_rate
 from .expr import ParseError
-from .ldp import ldp_experiment, terminal_event
+from .ldp import bound_check, ldp_experiment, terminal_event
 from .model import (drift_family_limit_gap, probe_ellipticity, probe_lipschitz,
                     probe_modulus)
 from .problems import list_problems, load_problem
@@ -210,7 +211,14 @@ def verb_rate(args):
 
 def verb_ldp(args):
     problem = _load(args)
-    eps_ladder = [float(e) for e in args.eps_ladder.split(",")]
+    try:
+        eps_ladder = [float(e) for e in args.eps_ladder.split(",")]
+    except ValueError:
+        return _fail(f"--eps-ladder must list numbers: {args.eps_ladder!r}", EXIT_INPUT_ERROR)
+    if not (all(0.0 < e <= 1.0 for e in eps_ladder) and args.n_paths >= 100
+            and args.n_steps >= 1):
+        return _fail("--eps-ladder must list numbers in (0, 1]; --n-paths must be at "
+                     "least 100 and --n-steps positive", EXIT_INPUT_ERROR)
     _write_manifest(args.out, "ldp", {
         "problem": args.problem, "seed": args.seed, "eps_ladder": eps_ladder,
         "n_paths": args.n_paths, "n_steps": args.n_steps, "event": args.event,
@@ -231,10 +239,7 @@ def verb_ldp(args):
                "ladder": [{"eps": pt.eps, "hits": pt.hits, "escapes": pt.escapes,
                            "noise_s": pt.noise_s, "step_s": pt.step_s} for pt in est.ladder]}
     if args.rate_value is not None:
-        from .ldp import bound_check
-        from types import SimpleNamespace
-        report = bound_check(est, SimpleNamespace(value=args.rate_value, converged=True),
-                             "upper_for_closed")
+        report = bound_check(est, args.rate_value, "upper_for_closed")
         payload["rate_value"] = args.rate_value
         payload["bound_checks"] = [report.line()]
     _write_json(args.out, "ldp.json", payload)
@@ -254,11 +259,7 @@ def verb_verify(args):
     reports = run_gates(names=names, seed=args.seed, skip=skip)
     for rep in reports:
         print(rep.line())
-        _write_json(args.out, f"gate_{rep.name}.json",
-                    {"name": rep.name, "passed": rep.passed, "skipped": rep.skipped,
-                     "wall_s": rep.wall_s,
-                     "detail": {k: v if isinstance(v, (bool, int, float, str)) else str(v)
-                                for k, v in rep.detail.items()}})
+        _write_json(args.out, f"gate_{rep.name}.json", asdict(rep))
     failed = [r for r in reports if not r.passed and not r.skipped]
     if failed:
         print(f"{len(failed)} gate(s) failed: {', '.join(r.name for r in failed)}")

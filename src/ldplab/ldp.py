@@ -81,7 +81,6 @@ class LdpEstimate:
     slope: float
     slope_stderr: float
     per_eps_points: list           # (1/eps, log p_hat) pairs used in the fit
-    with_singular: bool = True
 
     def as_csv(self):
         lines = ["eps,n_paths,hits,p_hat,ci_lo,ci_hi,escapes"]
@@ -97,13 +96,13 @@ class BoundReport:
     side: str
     slope: float
     stderr: float
-    rate_value: float
+    rate: float
     margin: float
 
     def line(self):
         verdict = "pass" if self.passed else "FAIL"
         return (f"{verdict}: side={self.side} slope={self.slope:.5f} "
-                f"stderr={self.stderr:.5f} rate={self.rate_value:.5f} "
+                f"stderr={self.stderr:.5f} rate={self.rate:.5f} "
                 f"margin={self.margin:.5f}")
 
 
@@ -235,7 +234,7 @@ def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
     used = [(1.0 / pt.eps, float(np.log(pt.p_hat))) for pt in ladder
             if 0.0 < pt.p_hat < 1.0]
     return LdpEstimate(ladder=ladder, slope=slope, slope_stderr=stderr,
-                       per_eps_points=used, with_singular=with_singular)
+                       per_eps_points=used)
 
 
 def bound_check(estimate, rate, side):
@@ -257,4 +256,4 @@ def bound_check(estimate, rate, side):
     else:
         passed = slope >= -value - margin
     return BoundReport(passed=bool(passed), side=side, slope=slope, stderr=stderr,
-                       rate_value=float(value), margin=float(margin))
+                       rate=float(value), margin=float(margin))

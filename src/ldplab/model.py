@@ -31,7 +31,6 @@ __all__ = [
     "probe_ellipticity",
     "probe_modulus",
     "drift_family_limit_gap",
-    "probe_slow_variation",
 ]
 
 
@@ -228,17 +227,6 @@ def dini_classify(m, lower_cutoffs=None):
         # power-law tail psi ~ (r'/r)^(-p): closed-form remainder
         value = float(values[-1] + psi[-1] * r[-1] / (p_hat - 1.0))
     return DiniVerdict(finite=True, value=value, partials=partials, decay_exponent=p_hat)
-
-
-def probe_slow_variation(m, deltas=(0.5, 2.0), t_ladder=None, tol=0.15):
-    """Advisory finite probe of phi(delta t)/phi(t) -> 1 along t -> 0."""
-    if t_ladder is None:
-        t_ladder = np.logspace(-6, -12, 4)
-    worst = 0.0
-    for d in deltas:
-        ratios = m.phi(d * t_ladder) / m.phi(t_ladder)
-        worst = max(worst, float(np.max(np.abs(ratios - 1.0))))
-    return worst <= tol, worst
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import numpy as np
 from .expr import parse_expression
 from .model import Box, DriftFamily, Modulus, SdeProblem, VectorField, parse_field
 
-__all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems"]
+__all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems",
+           "bundled_sections"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +207,14 @@ def _family(section, key_limit, key_pert, in_dim, out_dim):
     return DriftFamily(limit=limit, perturbation=pert)
 
 
-def parse_problem_text(text, name_hint=""):
+def _config(text):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read_string(text)
+    return cp
+
+
+def parse_problem_text(text, name_hint=""):
+    cp = _config(text)
     prob = cp["problem"]
     layout = prob.get("layout", "nondegenerate").strip()
     dims = tuple(int(d) for d in prob["dims"].split())
@@ -258,6 +264,12 @@ _BUNDLED = ["brownian-1d", "ou-1d", "free-endpoint", "dini-tanhlog-1d",
 
 def list_problems():
     return list(_BUNDLED)
+
+
+def bundled_sections(name):
+    """The sections of a bundled problem file as {section: {key: value}}."""
+    cp = _config(resources.files("ldplab").joinpath(f"problems/{name}.ini").read_text())
+    return {section: dict(cp[section]) for section in cp.sections()}
 
 
 def load_problem(name_or_path):

@@ -9,8 +9,8 @@ exactly a criterion passing there.  Gates print nothing; callers render
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+import traceback
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -19,12 +19,13 @@ from .action import (ball_target, half_space_target, minimize_rate, rate_via_tra
                      skeleton, ControlPath)
 from .ldp import bound_check, fit_slope, ldp_experiment, terminal_event
 from .model import Box, Modulus, SdeProblem, VectorField, DriftFamily, dini_classify
-from .problems import build_field, load_problem
+from .problems import build_field, bundled_sections, load_problem
 from .simulate import (brownian_increments, coarsen_increments, conjugacy_check,
                        simulate_degenerate)
 from .zvonkin import find_lambda0, solve_resolvent, theta, theta_inv, transform
 
-__all__ = ["GateReport", "GATES", "run_gates", "gate_names", "gaussian_reference_slope"]
+__all__ = ["GateReport", "GATES", "run_gates", "gate_names", "gaussian_reference_slope",
+           "memo_ladder", "memo_solve"]
 
 
 @dataclass
@@ -37,10 +38,17 @@ class GateReport:
 
     def line(self):
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
-        info = " ".join(f"{k}={v:.5g}" if isinstance(v, float) else f"{k}={v}"
-                        for k, v in self.detail.items())
+        info = " ".join(f"{k}={_fmt(v)}" for k, v in self.detail.items())
         wall = "" if self.wall_s is None else f" wall_s={self.wall_s:.3g}"
         return f"[{status}] {self.name}: {info}{wall}"
+
+
+def _fmt(v):
+    if isinstance(v, dict):
+        return "{" + ",".join(f"{k}:{_fmt(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, list):
+        return "[" + ",".join(map(_fmt, v)) + "]"
+    return f"{v:.5g}" if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +82,47 @@ def _dini_map(resolution=257):
     return _DINI_MAP_CACHE[key]
 
 
+# Ladders and minimum-action solves on bundled problems, keyed by what they
+# compute, not by which gate asks: problem files that differ only in ``name``,
+# or in a singular drift that is left out, give one experiment.
+_EXPERIMENTS = {}
+
+
+def _content(name, with_singular):
+    dropped = () if with_singular else ("singular", "modulus")
+    sections = bundled_sections(name)
+    sections["problem"].pop("name")
+    return tuple(sorted((s, tuple(sorted(kv.items())))
+                        for s, kv in sections.items() if s not in dropped))
+
+
+def memo_ladder(name, target, eps_ladder, n_paths, n_steps, seed, with_singular=True):
+    """``ldp_experiment`` on bundled problem ``name`` for the terminal event
+    in ``target``, run once per distinct experiment."""
+    key = ("ladder", _content(name, with_singular), target.description, target.coords,
+           tuple(eps_ladder), n_paths, n_steps, seed)
+    if key not in _EXPERIMENTS:
+        _EXPERIMENTS[key] = ldp_experiment(load_problem(name), terminal_event(target),
+                                           eps_ladder, n_paths, n_steps, seed,
+                                           with_singular=with_singular)
+    return _EXPERIMENTS[key]
+
+
+def memo_solve(name, target, n_intervals, restarts, seed):
+    """``minimize_rate`` on bundled problem ``name``, run once per distinct
+    solve; solves run at eps = 0, where the singular drift is absent."""
+    key = ("solve", _content(name, False), target.description, target.coords,
+           n_intervals, restarts, seed)
+    if key not in _EXPERIMENTS:
+        _EXPERIMENTS[key] = minimize_rate(load_problem(name), target, n_intervals=n_intervals,
+                                          restarts=restarts, seed=seed)
+    return _EXPERIMENTS[key]
+
+
 # ---------------------------------------------------------------------------
 # Gates (one per acceptance criterion, in order)
 
-def gate_constant_resolvent(seed=0):
+def gate_constant_resolvent():
     """Constant perturbation solves to c / lambda and certifies at |c|/lambda <= 1/2."""
     c = 1.0
     problem = _constant_singular_problem(c)
@@ -100,7 +145,7 @@ def gate_norm_certificate(seed=0):
     ok = res.map.certified and res.map.norm_sum <= 0.5 and monotone
     return GateReport("norm_certificate", ok,
                       {"lambda0": res.lambda0, "norm_sum": res.map.norm_sum,
-                       "ladder_sums": "[" + ",".join(f"{s:.3f}" for s in sums) + "]",
+                       "ladder_sums": [float(s) for s in sums],
                        "monotone": monotone})
 
 
@@ -155,11 +200,9 @@ def gate_ito_conjugacy(seed=2024, n_paths=8):
 def gate_rate_oracles(seed=0):
     """Closed-form minimum actions: free endpoint and linear-pull endpoint."""
     a, T = 1.0, 1.0
-    free = load_problem("free-endpoint")
-    r_free = minimize_rate(free, ball_target([a]), n_intervals=32, restarts=4, seed=seed)
+    r_free = memo_solve("free-endpoint", ball_target([a]), 32, 4, seed)
     free_exact = a ** 2 / (2 * T)
-    ou = load_problem("ou-1d")
-    r_ou = minimize_rate(ou, ball_target([a]), n_intervals=32, restarts=4, seed=seed)
+    r_ou = memo_solve("ou-1d", ball_target([a]), 32, 4, seed)
     ou_exact = 0.5 * a ** 2 / ((1.0 - np.exp(-2.0 * T)) / 2.0)
     err_free = abs(r_free.value - free_exact) / free_exact
     err_ou = abs(r_ou.value - ou_exact) / ou_exact
@@ -176,7 +219,7 @@ def gate_transform_rate_identity(seed=0):
     problem, res = _dini_map()
     zmap = res.map
     target = ball_target([1.0])
-    direct = minimize_rate(problem, target, n_intervals=32, restarts=4, seed=seed)
+    direct = memo_solve("dini-tanhlog-1d", target, 32, 4, seed)
     through = rate_via_transform(problem, zmap, target, n_intervals=32, restarts=4,
                                  seed=seed)
     rel = abs(direct.value - through.value) / max(abs(direct.value), 1e-12)
@@ -204,9 +247,13 @@ def gate_transform_rate_identity(seed=0):
 
 
 _GAUSS_LADDER = (0.5, 0.25, 0.125, 0.0625)
+_DEGEN_LADDER = (1.0 / 36, 1.0 / 54, 1.0 / 72)
+_N_PATHS, _DEGEN_PATHS, _N_STEPS = 100_000, 1_000_000, 256
+_TAIL = half_space_target([1.0], 1.0)                      # X_T >= 1
+_Y_TAIL = half_space_target([1.0], 0.5, coords=(1,))      # Y_T >= 0.5
 
 
-def gaussian_reference_slope(n_paths=100_000):
+def gaussian_reference_slope(n_paths=_N_PATHS):
     """The prescribed slope fit applied to the exact law of sqrt(eps) W_1 >= 1.
 
     Closed form, no simulation: the ladder points are (eps, Phi(-1/sqrt(eps)),
@@ -218,7 +265,7 @@ def gaussian_reference_slope(n_paths=100_000):
     return fit_slope(ladder)[0]
 
 
-def gate_gaussian_slope(seed=2024, n_paths=100_000, n_steps=256):
+def gate_gaussian_slope(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
     """Pure-noise terminal tail: Monte Carlo slope against the exact-law fit.
 
     The slope fitted to the simulated ladder must lie within 10% of the slope
@@ -227,28 +274,23 @@ def gate_gaussian_slope(seed=2024, n_paths=100_000, n_steps=256):
     gap ``limit_gap = reference_slope + 0.5`` in view, and criterion 11
     checks the rate 1/2 itself as a large-deviations bound.
     """
-    problem = load_problem("brownian-1d")
-    event = terminal_event(half_space_target([1.0], 1.0))  # X_T >= 1
-    est = ldp_experiment(problem, event, _GAUSS_LADDER, n_paths, n_steps, seed)
+    est = memo_ladder("brownian-1d", _TAIL, _GAUSS_LADDER, n_paths, n_steps, seed)
     reference = gaussian_reference_slope(n_paths)
     limit = -0.5
     rel = abs(est.slope - reference) / abs(reference)
     ok = rel <= 0.10
-    detail = {"slope": est.slope, "stderr": est.slope_stderr,
-              "reference_slope": reference, "rel_err": rel,
-              "limit_slope": limit, "limit_gap": reference - limit,
-              "p_hats": "[" + ",".join(f"{p.p_hat:.3e}" for p in est.ladder) + "]"}
-    return GateReport("gaussian_slope", ok, detail), est
+    return GateReport("gaussian_slope", ok,
+                      {"slope": est.slope, "stderr": est.slope_stderr,
+                       "reference_slope": reference, "rel_err": rel,
+                       "limit_slope": limit, "limit_gap": reference - limit,
+                       "p_hats": [pt.p_hat for pt in est.ladder]})
 
 
-def gate_singular_insensitivity(seed=2024, n_paths=100_000, n_steps=256):
+def gate_singular_insensitivity(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
     """Slope with and without the vanishing singular drift term must agree."""
-    problem = load_problem("dini-tanhlog-1d")
-    event = terminal_event(half_space_target([1.0], 1.0))
-    with_b2 = ldp_experiment(problem, event, _GAUSS_LADDER, n_paths, n_steps, seed,
-                             with_singular=True)
-    without = ldp_experiment(problem, event, _GAUSS_LADDER, n_paths, n_steps, seed,
-                             with_singular=False)
+    with_b2, without = (memo_ladder("dini-tanhlog-1d", _TAIL, _GAUSS_LADDER, n_paths,
+                                    n_steps, seed, with_singular=flag)
+                        for flag in (True, False))
     diff = abs(with_b2.slope - without.slope)
     combined = np.hypot(with_b2.slope_stderr, without.slope_stderr)
     rel = diff / max(abs(without.slope), 1e-12)
@@ -256,20 +298,14 @@ def gate_singular_insensitivity(seed=2024, n_paths=100_000, n_steps=256):
     return GateReport("singular_insensitivity", ok,
                       {"slope_with": with_b2.slope, "slope_without": without.slope,
                        "diff": diff, "2x_stderr": float(2 * combined),
-                       "rel": rel}), with_b2, without
+                       "rel": rel})
 
 
-_DEGEN_LADDER = (1.0 / 36, 1.0 / 54, 1.0 / 72)
-
-
-def gate_degenerate_slope(seed=2024, n_paths=1_000_000, n_steps=256):
+def gate_degenerate_slope(seed=2024, n_paths=_DEGEN_PATHS, n_steps=_N_STEPS):
     """Noise-only-in-Y system: Y-marginal slope vs. the minimized rate."""
     problem = load_problem("hamiltonian-2d")
-    threshold = 0.5
-    target = half_space_target([1.0], threshold, coords=(1,))  # Y_T >= 0.5
-    event = terminal_event(target)
-    est = ldp_experiment(problem, event, _DEGEN_LADDER, n_paths, n_steps, seed)
-    rate = minimize_rate(problem, target, n_intervals=32, restarts=4, seed=seed)
+    est = memo_ladder("hamiltonian-2d", _Y_TAIL, _DEGEN_LADDER, n_paths, n_steps, seed)
+    rate = memo_solve("hamiltonian-2d", _Y_TAIL, 32, 4, seed)
     rel = abs(est.slope - (-rate.value)) / rate.value
 
     # X-block must be noise-free: single-step moves bounded by the drift alone
@@ -282,61 +318,54 @@ def gate_degenerate_slope(seed=2024, n_paths=1_000_000, n_steps=256):
     return GateReport("degenerate_slope", ok,
                       {"slope": est.slope, "rate": rate.value,
                        "rel_err": rel, "x_noise_free": noise_free,
-                       "p_hats": "[" + ",".join(f"{p.p_hat:.3e}" for p in est.ladder) + "]"}), est, rate
+                       "p_hats": [pt.p_hat for pt in est.ladder]})
 
 
-def gate_dini_classification(seed=0):
+def gate_dini_classification():
     """Verdicts for the log-moduli and the exact Holder integral value."""
-    checks = []
+    verdicts = []
     for beta, want in ((1.5, True), (2.0, True), (3.0, True), (0.5, False), (1.0, False)):
         v = dini_classify(Modulus.dini_log(beta))
-        checks.append((f"log(beta={beta})", v.finite == want, v.label))
-    holder_ok = True
-    holder_info = []
+        verdicts.append({"beta": beta, "finite": v.finite, "passed": v.finite == want})
+    holder = []
     for alpha in (0.25, 0.5, 0.75):
         v = dini_classify(Modulus.holder(alpha))
         exact = 1.0 / alpha
         err = abs(v.value - exact) / exact
-        good = v.finite and err <= 1e-3
-        holder_ok = holder_ok and good
-        holder_info.append(f"alpha={alpha}:{v.value:.5f}(err={err:.1e})")
-        checks.append((f"holder(alpha={alpha})", good, v.label))
-    ok = all(c[1] for c in checks)
-    return GateReport("dini_classification", ok,
-                      {"verdicts": ";".join(f"{n}:{lab}" for n, good, lab in checks),
-                       "holder": ";".join(holder_info)})
+        holder.append({"alpha": alpha, "value": v.value, "rel_err": err,
+                       "passed": v.finite and err <= 1e-3})
+    ok = all(c["passed"] for c in verdicts + holder)
+    return GateReport("dini_classification", ok, {"verdicts": verdicts, "holder": holder})
 
 
-def gate_bound_checks(seed=2024, ladders=None):
-    """Slope-versus-rate inequality on the three Monte Carlo configurations."""
-    if ladders is None:
-        gauss_report, gauss_est = gate_gaussian_slope(seed=seed)
-        sing_report, with_b2, _ = gate_singular_insensitivity(seed=seed)
-        degen_report, degen_est, degen_rate = gate_degenerate_slope(seed=seed)
-        ladders = [(gauss_est, 0.5), (with_b2, 0.5), (degen_est, degen_rate.value)]
-    reports = []
-    for est, value in ladders:
-        rate = SimpleNamespace(value=value, converged=True)
-        reports.append(bound_check(est, rate, "upper_for_closed"))
-    ok = all(r.passed for r in reports)
-    return GateReport("bound_checks", ok,
-                      {"checks": ";".join(r.line() for r in reports)})
+def gate_bound_checks(seed=2024):
+    """Slope-versus-rate inequality on the ladders of gates 7, 8 and 9."""
+    ladders = [
+        (memo_ladder("brownian-1d", _TAIL, _GAUSS_LADDER, _N_PATHS, _N_STEPS, seed), 0.5),
+        (memo_ladder("dini-tanhlog-1d", _TAIL, _GAUSS_LADDER, _N_PATHS, _N_STEPS, seed), 0.5),
+        (memo_ladder("hamiltonian-2d", _Y_TAIL, _DEGEN_LADDER, _DEGEN_PATHS, _N_STEPS, seed),
+         memo_solve("hamiltonian-2d", _Y_TAIL, 32, 4, seed)),
+    ]
+    checks = [asdict(bound_check(est, rate, "upper_for_closed")) for est, rate in ladders]
+    return GateReport("bound_checks", all(c["passed"] for c in checks), {"checks": checks})
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 
+# Each entry takes the run's seed; only the Monte Carlo gates and their bound
+# checks are seeded by it, the others keep their own fixed seeds.
 GATES = [
-    ("constant_resolvent_exactness", gate_constant_resolvent),
-    ("norm_certificate", gate_norm_certificate),
-    ("homeomorphism_roundtrip", gate_homeomorphism_roundtrip),
-    ("ito_conjugacy_refinement", gate_ito_conjugacy),
-    ("rate_oracles", gate_rate_oracles),
-    ("transform_rate_identity", gate_transform_rate_identity),
+    ("constant_resolvent_exactness", lambda seed: gate_constant_resolvent()),
+    ("norm_certificate", lambda seed: gate_norm_certificate()),
+    ("homeomorphism_roundtrip", lambda seed: gate_homeomorphism_roundtrip()),
+    ("ito_conjugacy_refinement", lambda seed: gate_ito_conjugacy()),
+    ("rate_oracles", lambda seed: gate_rate_oracles()),
+    ("transform_rate_identity", lambda seed: gate_transform_rate_identity()),
     ("gaussian_slope", gate_gaussian_slope),
     ("singular_insensitivity", gate_singular_insensitivity),
     ("degenerate_slope", gate_degenerate_slope),
-    ("dini_classification", gate_dini_classification),
+    ("dini_classification", lambda seed: gate_dini_classification()),
     ("bound_checks", gate_bound_checks),
 ]
 
@@ -345,42 +374,22 @@ def gate_names():
     return [name for name, _ in GATES]
 
 
-def _first_report(result):
-    return result[0] if isinstance(result, tuple) else result
-
-
 def run_gates(names=None, seed=2024, skip=()):
     """Run the named gates (all by default); returns a list of GateReport."""
-    selected = GATES if names is None else [(n, g) for n, g in GATES if n in set(names)]
     reports = []
-    shared = {}
-    for name, fn in selected:
+    for name, gate in GATES:
+        if names is not None and name not in names:
+            continue
         if name in skip:
             reports.append(GateReport(name, True, {"note": "explicitly skipped"},
                                       skipped=True))
             continue
         start = time.perf_counter()
         try:
-            if name == "bound_checks" and {"gaussian_slope", "singular_insensitivity",
-                                           "degenerate_slope"} <= shared.keys():
-                result = gate_bound_checks(seed=seed, ladders=[
-                    (shared["gaussian_slope"], 0.5),
-                    (shared["singular_insensitivity"], 0.5),
-                    (shared["degenerate_slope"][0], shared["degenerate_slope"][1]),
-                ])
-            elif name in ("gaussian_slope", "singular_insensitivity", "degenerate_slope",
-                          "bound_checks"):
-                result = fn(seed=seed)
-            else:
-                result = fn()
+            report = gate(seed)
         except Exception as exc:  # a crashed gate is a failed gate
-            report = GateReport(name, False, {"error": repr(exc)})
-        else:
-            report = _first_report(result)
-            if name in ("gaussian_slope", "singular_insensitivity"):
-                shared[name] = result[1]
-            elif name == "degenerate_slope":
-                shared[name] = (result[1], result[2].value)
+            report = GateReport(name, False, {"error": repr(exc),
+                                              "traceback": traceback.format_exc()})
         report.wall_s = time.perf_counter() - start
         reports.append(report)
     return reports

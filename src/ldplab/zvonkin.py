@@ -65,7 +65,6 @@ class GridFunction:
         self._interp = RegularGridInterpolator(self.axes, self.values, method="linear",
                                                bounds_error=True)
         self._jac_interp = None
-        self._hess_interp = None
 
     @property
     def m(self):

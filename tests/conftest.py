@@ -20,26 +20,6 @@ def dini_map(dini_lambda0):
     return dini_lambda0.map
 
 
-@pytest.fixture(scope="session")
-def monte_carlo_gates():
-    """Shared results of the three expensive Monte Carlo gates.
-
-    The bound-check criterion reuses the same ladders, so these run once per
-    session.
-    """
-    from ldplab.verify import (gate_degenerate_slope, gate_gaussian_slope,
-                               gate_singular_insensitivity)
-
-    gauss_rep, gauss_est = gate_gaussian_slope()
-    sing_rep, with_b2, without = gate_singular_insensitivity()
-    degen_rep, degen_est, degen_rate = gate_degenerate_slope()
-    return {
-        "gaussian": (gauss_rep, gauss_est),
-        "singular": (sing_rep, with_b2, without),
-        "degenerate": (degen_rep, degen_est, degen_rate),
-    }
-
-
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=1234))

@@ -1,14 +1,16 @@
 """Acceptance suite: one gate per criterion, one pass/fail line each.
 
-The expensive Monte Carlo ladders are computed once per session (see the
-``monte_carlo_gates`` fixture) and shared with the bound-check criterion.
+Gates 7, 8, 9 and 11 share their Monte Carlo ladders and gate 9's rate
+through the experiment memo in ``ldplab.verify``, so each ladder runs once
+per session.
 """
 
 
-from ldplab.verify import (gate_constant_resolvent, gate_dini_classification,
-                           gate_homeomorphism_roundtrip, gate_ito_conjugacy,
-                           gate_norm_certificate, gate_rate_oracles,
-                           gate_transform_rate_identity, gate_bound_checks)
+from ldplab.verify import (gate_bound_checks, gate_constant_resolvent,
+                           gate_degenerate_slope, gate_dini_classification,
+                           gate_gaussian_slope, gate_homeomorphism_roundtrip,
+                           gate_ito_conjugacy, gate_norm_certificate, gate_rate_oracles,
+                           gate_singular_insensitivity, gate_transform_rate_identity)
 
 
 def _check(report):
@@ -40,29 +42,21 @@ def test_criterion_06_transform_rate_identity():
     _check(gate_transform_rate_identity())
 
 
-def test_criterion_07_gaussian_slope(monte_carlo_gates):
-    report, _ = monte_carlo_gates["gaussian"]
-    _check(report)
+def test_criterion_07_gaussian_slope():
+    _check(gate_gaussian_slope())
 
 
-def test_criterion_08_singular_insensitivity(monte_carlo_gates):
-    report = monte_carlo_gates["singular"][0]
-    _check(report)
+def test_criterion_08_singular_insensitivity():
+    _check(gate_singular_insensitivity())
 
 
-def test_criterion_09_degenerate_slope(monte_carlo_gates):
-    report = monte_carlo_gates["degenerate"][0]
-    _check(report)
+def test_criterion_09_degenerate_slope():
+    _check(gate_degenerate_slope())
 
 
 def test_criterion_10_dini_classification():
     _check(gate_dini_classification())
 
 
-def test_criterion_11_bound_checks(monte_carlo_gates):
-    _, gauss_est = monte_carlo_gates["gaussian"]
-    with_b2 = monte_carlo_gates["singular"][1]
-    _, degen_est, degen_rate = monte_carlo_gates["degenerate"]
-    report = gate_bound_checks(ladders=[
-        (gauss_est, 0.5), (with_b2, 0.5), (degen_est, degen_rate.value)])
-    _check(report)
+def test_criterion_11_bound_checks():
+    _check(gate_bound_checks())

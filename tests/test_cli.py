@@ -153,6 +153,20 @@ def test_ldp_reproducible(tmp_path):
         (tmp_path / "b" / "ladder.csv").read_text()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps-ladder", "0.5,abc"],
+    ["--n-paths", "50"],
+    ["--n-steps", "0"],
+    ["--eps-ladder", "1.0,-0.5,0.25"],
+], ids=["eps-not-a-number", "too-few-paths", "zero-steps", "negative-eps"])
+def test_ldp_input_errors_exit_2(tmp_path, capsys, flags):
+    code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
+                 "--n-paths", "200", "--n-steps", "16", *flags])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ldp.json").exists()
+
+
 def test_verify_unknown_gate_exit_2(tmp_path):
     assert main(["verify", "--out", str(tmp_path), "--gates", "no_such_gate"]) == 2
 
@@ -173,7 +187,16 @@ def test_verify_subset_with_skip(tmp_path, capsys):
 
 
 def test_verify_writes_numbers(tmp_path):
-    assert main(["verify", "--out", str(tmp_path),
-                 "--gates", "constant_resolvent_exactness"]) == 0
+    assert main(["verify", "--out", str(tmp_path), "--gates",
+                 "constant_resolvent_exactness,norm_certificate,dini_classification"]) == 0
     report = json.loads((tmp_path / "gate_constant_resolvent_exactness.json").read_text())
     assert isinstance(report["detail"]["sup_error"], float)
+    sums = json.loads((tmp_path / "gate_norm_certificate.json").read_text())["detail"]
+    assert sums["ladder_sums"] and all(isinstance(s, float) for s in sums["ladder_sums"])
+    dini = json.loads((tmp_path / "gate_dini_classification.json").read_text())["detail"]
+    assert [v["beta"] for v in dini["verdicts"]] == [1.5, 2.0, 3.0, 0.5, 1.0]
+    assert [v["finite"] for v in dini["verdicts"]] == [True, True, True, False, False]
+    assert all(v["passed"] is True for v in dini["verdicts"] + dini["holder"])
+    assert [h["alpha"] for h in dini["holder"]] == [0.25, 0.5, 0.75]
+    assert all(isinstance(h["value"], float) and h["rel_err"] <= 1e-3
+               for h in dini["holder"])

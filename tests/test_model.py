@@ -3,7 +3,7 @@ import pytest
 
 from ldplab.model import (Box, Modulus, dini_classify,
                           drift_family_limit_gap, parse_field, probe_ellipticity,
-                          probe_lipschitz, probe_modulus, probe_slow_variation)
+                          probe_lipschitz, probe_modulus)
 from ldplab.problems import build_field, load_problem
 
 
@@ -72,13 +72,6 @@ def test_dini_lipschitz_finite():
     v = dini_classify(Modulus.lipschitz(2.0))
     assert v.finite
     assert v.value == pytest.approx(2.0, rel=1e-3)
-
-
-def test_slow_variation_log_modulus():
-    ok, worst = probe_slow_variation(Modulus.dini_log(2.0))
-    assert ok
-    ok_h, worst_h = probe_slow_variation(Modulus.holder(0.5))
-    assert not ok_h  # t^alpha is not slowly varying
 
 
 # ---------------------------------------------------------------------------
