@@ -45,7 +45,6 @@ from .action import (
     Target,
     ball_target,
     half_space_target,
-    predicate_target,
     skeleton,
     action,
     minimize_rate,

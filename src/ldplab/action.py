@@ -1,19 +1,32 @@
 """Skeleton ODE integration and minimum-action evaluation of the rate function.
 
-The rate of an endpoint/functional target set is estimated by minimizing
-(1/2) int |hdot|^2 dt + penalty * dist(endpoint, target)^2 over
-piecewise-constant controls, with penalty continuation and multistart.
-Gradients are batched central finite differences through the RK4 integrator.
+The rate of an endpoint target is found by the minimum action method (E, Ren
+& Vanden-Eijnden, CPAM 57 (2004) 637).  The unknowns are the points
+phi_1..phi_N of the noisy block's path on a uniform grid of step dt, and the
+action is the midpoint rule
+
+    sum_k (1/2) |sigma(m_k)^{-1} ((phi_{k+1} - phi_k)/dt - b(m_k))|^2 dt,
+    m_k = (phi_k + phi_{k+1}) / 2,
+
+one batched coefficient evaluation over the whole path.  The last unknown is
+the endpoint in original coordinates: it is projected onto the target and,
+for a transformed system, mapped by theta, so the target is met exactly.  A
+noise-free block (the degenerate layout) follows from its ODE by Heun's rule.
+L-BFGS-B runs from the straight line to the target and from seeded
+perturbations of it, with central-difference gradients batched over the
+perturbed paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .simulate import dynamics
+from .zvonkin import theta, transform
 
 __all__ = [
     "ControlPath",
@@ -22,7 +35,6 @@ __all__ = [
     "Target",
     "ball_target",
     "half_space_target",
-    "predicate_target",
     "skeleton",
     "action",
     "minimize_rate",
@@ -35,7 +47,10 @@ __all__ = [
 
 @dataclass
 class ControlPath:
-    hdot: np.ndarray      # (n_intervals, control_dim), piecewise-constant
+    """Piecewise-constant control (n_intervals, control_dim) on [0, horizon_T],
+    or a batch (B, n_intervals, control_dim) of them."""
+
+    hdot: np.ndarray
     horizon_T: float
 
     def __post_init__(self):
@@ -43,7 +58,7 @@ class ControlPath:
 
     @property
     def n_intervals(self):
-        return self.hdot.shape[0]
+        return self.hdot.shape[-2]
 
 
 @dataclass
@@ -57,12 +72,11 @@ class SkeletonPath:
 class RateResult:
     value: float
     minimizer: ControlPath
-    endpoint: np.ndarray
+    endpoint: np.ndarray          # the minimizing path's end, in the solved system
     multistart_spread: float
-    converged: bool
-    feasibility_residual: float
+    converged: bool               # L-BFGS-B success of the best restart
     n_intervals: int
-    restarts: int
+    restarts: list                # per restart: {"status", "nit", "objective"}
 
 
 def action(control):
@@ -71,18 +85,54 @@ def action(control):
     return 0.5 * float(np.sum(control.hdot ** 2)) * dt
 
 
+def skeleton(problem, control, n_steps, tsde=None):
+    """RK4 for the controlled ODE z' = b(z) + S(z) hdot of the eps = 0 system,
+    transformed if ``tsde`` is given, under piecewise-constant controls.
+
+    A batch of controls (B, n_intervals, m) is integrated together, and
+    ``states`` is then (B, n_steps + 1, dim) instead of (n_steps + 1, dim).
+    """
+    dyn = dynamics(problem if tsde is None else tsde, 0.0)
+    hdots = control.hdot.reshape((-1,) + control.hdot.shape[-2:])
+    if n_steps % control.n_intervals:
+        raise ValueError("n_steps must be a multiple of n_intervals")
+    per, dt = n_steps // control.n_intervals, dyn.horizon / n_steps
+
+    def velocity(z, h):
+        drift, sigma = dyn.coefficients(z)
+        return drift + np.pad(np.einsum("nij,nj->ni", sigma, h), ((0, 0), (dyn.n_quiet, 0)))
+
+    z = np.tile(dyn.x0, (len(hdots), 1))
+    states = [z]
+    for k in range(n_steps):
+        h = hdots[:, k // per]
+        k1 = velocity(z, h)
+        k2 = velocity(z + 0.5 * dt * k1, h)
+        k3 = velocity(z + 0.5 * dt * k2, h)
+        k4 = velocity(z + dt * k3, h)
+        z = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(z)
+    states = np.stack(states, axis=1)
+    if not np.all(np.isfinite(states)):
+        raise FloatingPointError("skeleton integration produced non-finite state")
+    return SkeletonPath(times=np.linspace(0.0, dyn.horizon, n_steps + 1),
+                        states=states.reshape(control.hdot.shape[:-2] + states.shape[1:]),
+                        control=control)
+
+
 # ---------------------------------------------------------------------------
 # Targets
 
 @dataclass
 class Target:
-    """Target set with an evaluable signed distance on the reached endpoint.
-
-    ``coords`` optionally restricts the distance to a coordinate slice (used
-    for marginal events in the degenerate layout).
+    """Closed target set on the coordinates ``coords`` of the state (all if
+    None), with its signed distance and its nearest-point projection, both
+    on (B, len(coords)) batches of those coordinates.  ``coords`` restricts
+    an event to a marginal, as in the degenerate layout.
     """
 
-    signed_distance: object
+    signed_distance: Callable
+    project: Callable
     description: str = ""
     coords: tuple | None = None
 
@@ -95,11 +145,18 @@ class Target:
 
 def ball_target(center, radius=0.0, coords=None):
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if radius < 0:
+        raise ValueError(f"ball radius must be non-negative, got {radius}")
 
     def dist(x):
         return np.linalg.norm(np.atleast_2d(x) - center, axis=-1) - radius
 
-    return Target(signed_distance=dist, coords=coords,
+    def project(x):
+        off = np.atleast_2d(x) - center
+        norm = np.linalg.norm(off, axis=-1, keepdims=True)
+        return center + off * np.minimum(1.0, radius / np.maximum(norm, 1e-300))
+
+    return Target(signed_distance=dist, project=project, coords=coords,
                   description=f"ball(center={center.tolist()}, r={radius})")
 
 
@@ -111,265 +168,114 @@ def half_space_target(normal, offset, coords=None):
     def dist(x):
         return (offset - np.atleast_2d(x) @ normal) / norm
 
-    return Target(signed_distance=dist, coords=coords,
+    def project(x):
+        x = np.atleast_2d(x)
+        return x + np.maximum(offset - x @ normal, 0.0)[:, None] * (normal / norm ** 2)
+
+    return Target(signed_distance=dist, project=project, coords=coords,
                   description=f"half_space(n={normal.tolist()}, c={offset})")
 
 
-def predicate_target(signed_distance, description="predicate", coords=None):
-    def dist(x):
-        pts = np.atleast_2d(x)
-        return np.array([float(signed_distance(p)) for p in pts])
+def _noisy_projection(target, n_quiet, dim):
+    """The target's projection as a map of (B, dim - n_quiet) noisy-block
+    endpoints.  The search chooses only the noisy path, so a target on a
+    noise-free coordinate is refused."""
+    coords = list(range(dim) if target.coords is None else target.coords)
+    if max(coords) >= dim:
+        raise ValueError(f"target {target.description} names coordinate {max(coords)} "
+                         f"of a {dim}-dimensional state")
+    if min(coords) < n_quiet:
+        raise ValueError(f"target {target.description} constrains a noise-free coordinate; "
+                         "the minimum-action search meets targets on the noisy block only")
+    cols = [c - n_quiet for c in coords]
 
-    return Target(signed_distance=dist, coords=coords, description=description)
+    def project(y):
+        y = y.copy()
+        y[:, cols] = target.project(y[:, cols])
+        return y
 
-
-# ---------------------------------------------------------------------------
-# Controlled dynamics (batched over a set of controls)
-
-_TAB_RESOLUTION = {1: 2049, 2: 129, 3: 33}
-
-
-def _tabulate(box, func):
-    """Sample a tuple-valued function of (B, dim) batches on a tensor grid
-    over ``box`` and return a lookup with the same outputs, read from one
-    packed multilinear interpolant and clamped to the box (the per-point
-    cost of composing theta^{-1} otherwise dominates the optimizer's inner
-    loop).  None if the box has too many dimensions to tabulate."""
-    from .zvonkin import GridFunction
-
-    per = _TAB_RESOLUTION.get(box.dim)
-    if per is None:
-        return None
-    axes = [np.linspace(box.lo[i], box.hi[i], per) for i in range(box.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    parts = func(mesh.reshape(-1, box.dim))
-    bounds = np.cumsum([0] + [p[0].size for p in parts])
-    shapes = [(-1,) + p.shape[1:] for p in parts]
-    packed = np.concatenate([p.reshape(p.shape[0], -1) for p in parts], axis=1)
-    table = GridFunction(box=box, axes=axes, values=packed.reshape(mesh.shape[:-1] + (-1,)))
-    lo, hi = box.lo, box.hi
-
-    def lookup(z):
-        flat = table(np.clip(z, lo, hi))
-        return tuple(flat[:, a:b].reshape(shape)
-                     for a, b, shape in zip(bounds, bounds[1:], shapes))
-
-    return lookup
-
-
-class _Dynamics:
-    """Velocity field z' = b(z) + S(z) hdot of the eps = 0 system, direct or
-    transformed: the stepper's coefficients, with the transformed ones read
-    from a table."""
-
-    def __init__(self, problem=None, tsde=None):
-        dyn = dynamics(problem if tsde is None else tsde, 0.0)
-        q, coefficients = dyn.n_quiet, dyn.coefficients
-        if tsde is not None:
-            ibox = tsde.map.interior_box()
-            if q == 0:
-                # the state is the noisy block: tabulate the coefficients whole
-                coefficients = _tabulate(ibox, coefficients) or coefficients
-            else:
-                # the drift depends on x too: tabulate only the pullback of y~
-                coefficients = tsde.coefficients(0.0, pullback=_tabulate(ibox, tsde.pullback))
-        self.T = dyn.horizon
-        self.x0 = dyn.x0
-        self.state_dim = dyn.x0.size
-        self.control_dim = self.state_dim - q
-
-        if q == 0:
-            def velocity(z, hdot):
-                drift, sigma = coefficients(z)
-                return drift + np.einsum("nij,nj->ni", sigma, hdot)
-        else:
-            def velocity(z, hdot):
-                drift, sigma = coefficients(z)    # drift is a fresh concatenation
-                drift[:, q:] += np.einsum("nij,nj->ni", sigma, hdot)
-                return drift
-
-        self.velocity = velocity
-
-    def integrate(self, hdots, n_steps, keep_path=False):
-        """RK4 over a batch of piecewise-constant controls (B, N, m)."""
-        hdots = np.asarray(hdots, dtype=float)
-        if hdots.ndim == 2:
-            hdots = hdots[None]
-        B, n_int, m = hdots.shape
-        if n_steps % n_int:
-            raise ValueError("n_steps must be a multiple of n_intervals")
-        per = n_steps // n_int
-        dt = self.T / n_steps
-        z = np.broadcast_to(self.x0, (B, self.state_dim)).copy()
-        path = np.empty((B, n_steps + 1, self.state_dim)) if keep_path else None
-        if keep_path:
-            path[:, 0] = z
-        for k in range(n_steps):
-            h = hdots[:, k // per, :]
-            k1 = self.velocity(z, h)
-            k2 = self.velocity(z + 0.5 * dt * k1, h)
-            k3 = self.velocity(z + 0.5 * dt * k2, h)
-            k4 = self.velocity(z + dt * k3, h)
-            z = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(z)):
-                raise FloatingPointError("skeleton integration produced non-finite state")
-            if keep_path:
-                path[:, k + 1] = z
-        return (z, path) if keep_path else z
-
-
-def skeleton(problem, control, n_steps, tsde=None):
-    """Integrate the controlled ODE for one control; returns the trajectory."""
-    dyn = _Dynamics(problem=problem, tsde=tsde)
-    _, path = dyn.integrate(control.hdot[None], n_steps, keep_path=True)
-    times = np.linspace(0.0, dyn.T, n_steps + 1)
-    return SkeletonPath(times=times, states=path[0], control=control)
+    return project
 
 
 # ---------------------------------------------------------------------------
 # Minimum action
 
-def _starts(dyn, target, n_intervals, restarts, seed, n_steps):
-    m = dyn.control_dim
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    starts = [np.zeros((n_intervals, m))]
-    # straight-line teleport start toward the target center proxy: pick the
-    # endpoint of the zero control, move along the residual direction
-    z_free = dyn.integrate(np.zeros((1, n_intervals, m)), n_steps)[0]
-    probe = np.eye(m)
-    guesses = []
-    # target center proxy by coordinate descent on the signed distance
-    center = z_free.copy()
-    step = 0.5
-    for _ in range(200):
-        d0 = float(target.distance(center[None])[0])
-        if d0 <= 0:
-            break
-        improved = False
-        for v in probe:
-            vec = np.zeros(dyn.state_dim)
-            if target.coords is not None:
-                for ci, comp in enumerate(target.coords):
-                    if ci < m:
-                        vec[comp] = v[ci] if ci < len(v) else 0.0
-            else:
-                vec[:m] = v if dyn.state_dim >= m else vec[:m]
-            for s in (+step, -step):
-                cand = center + s * vec
-                if float(target.distance(cand[None])[0]) < d0 - 1e-12:
-                    center = cand
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            step *= 0.5
-            if step < 1e-3:
-                break
-    gap = center - z_free
-    if target.coords is not None:
-        comp_gap = np.zeros(m)
-        for ci, comp in enumerate(target.coords):
-            if ci < m:
-                comp_gap[ci] = gap[comp]
-        gap_m = comp_gap
-    else:
-        gap_m = gap[-m:]    # the noisy block: the whole state, or y
-    teleport = np.tile(gap_m / dyn.T, (n_intervals, 1))
-    starts.append(teleport)
-    for _ in range(max(restarts - 2, 0)):
-        starts.append(teleport + rng.standard_normal((n_intervals, m)))
-    return starts[:max(restarts, 1)]
+_FD_STEP = 1e-6       # central-difference step in each unknown
+_SPREAD = 0.1         # standard deviation of the restarts' perturbations
+_INSIDE = 1e-3        # the straight line overshoots the target's nearest point
+                      # by this fraction, so it starts off the projection's kink
+_OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-8}
 
 
-def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, n_steps=None,
-                  tsde=None, penalty0=10.0, penalty_growth=10.0, stages=4,
-                  feas_tol=1e-2, fd_step=1e-5, maxiter=200):
-    """Penalty-continuation quasi-Newton minimum-action search."""
+def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None):
+    """Minimum action over paths from the start to ``target`` (a set in
+    original coordinates), for ``problem`` or, given ``tsde``, for its
+    transformed system: the best of ``restarts`` L-BFGS-B runs."""
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    dyn = _Dynamics(problem=problem, tsde=tsde)
-    n_steps = n_steps or 4 * n_intervals
-    m = dyn.control_dim
-    dt = dyn.T / n_intervals
+    dyn = dynamics(problem if tsde is None else tsde, 0.0)
+    q, dim, n = dyn.n_quiet, dyn.x0.size, n_intervals
+    m, dt = dim - q, dyn.horizon / n
+    nearest = _noisy_projection(target, q, dim)
 
-    def batch_objective(flat_batch, penalty):
-        hdots = flat_batch.reshape(-1, n_intervals, m)
-        act = 0.5 * np.sum(hdots ** 2, axis=(1, 2)) * dt
-        ends = dyn.integrate(hdots, n_steps)
-        dist = np.maximum(target.distance(ends), 0.0)
-        return act + penalty * dist ** 2
+    def to_system(y):
+        return y if tsde is None else theta(tsde.map, y)
 
-    def fun_and_grad(flat, penalty):
-        n = flat.size
-        h = fd_step * np.maximum(1.0, np.abs(flat))
-        batch = np.concatenate([flat[None],
-                                flat[None] + np.diag(h),
-                                flat[None] - np.diag(h)], axis=0)
-        vals = batch_objective(batch, penalty)
-        grad = (vals[1:n + 1] - vals[n + 1:]) / (2 * h)
-        return float(vals[0]), grad
+    def quiet_drift(x, y):
+        return dyn.coefficients(np.concatenate([x, y], axis=1))[0][:, :q]
 
-    best = None
-    results = []
-    for start in _starts(dyn, target, n_intervals, restarts, seed, n_steps):
-        flat = start.ravel().copy()
-        penalty = penalty0
-        for _stage in range(stages):
-            res = minimize(fun_and_grad, flat, args=(penalty,), jac=True,
-                           method="L-BFGS-B",
-                           options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
-            flat = res.x
-            penalty *= penalty_growth
-        control = ControlPath(hdot=flat.reshape(n_intervals, m), horizon_T=dyn.T)
-        end = dyn.integrate(flat.reshape(1, n_intervals, m), n_steps)[0]
-        residual = float(max(target.distance(end[None])[0], 0.0))
-        results.append((action(control), residual, control, end))
+    def paths(unknowns):
+        """(R, n*m) unknowns -> (R, n+1, dim) paths in the system's coordinates."""
+        y = unknowns.reshape(-1, n, m).copy()
+        y[:, -1] = to_system(nearest(y[:, -1]))
+        y = np.concatenate([np.broadcast_to(dyn.x0[q:], (len(y), 1, m)), y], axis=1)
+        if q == 0:
+            return y
+        x = [np.broadcast_to(dyn.x0[:q], (len(y), q))]
+        for k in range(n):
+            f = quiet_drift(x[-1], y[:, k])
+            f_next = quiet_drift(x[-1] + dt * f, y[:, k + 1])
+            x.append(x[-1] + 0.5 * dt * (f + f_next))
+        return np.concatenate([np.stack(x, axis=1), y], axis=2)
 
-    feasible = [r for r in results if r[1] <= feas_tol]
-    pool = feasible if feasible else results
-    pool.sort(key=lambda r: r[0])
-    val, residual, control, end = pool[0]
-    spread = max(r[0] for r in pool) - min(r[0] for r in pool)
-    if not feasible:
-        raise RuntimeError(f"no feasible control found; best endpoint distance {residual:.3g}")
-    return RateResult(value=val, minimizer=control, endpoint=end,
-                      multistart_spread=float(spread), converged=True,
-                      feasibility_residual=residual, n_intervals=n_intervals,
-                      restarts=restarts)
+    def controls(path):
+        """hdot_k = sigma(m_k)^{-1} (phi'_k - b(m_k)) of (R, n+1, dim) paths."""
+        drift, sigma = dyn.coefficients(0.5 * (path[:, 1:] + path[:, :-1]).reshape(-1, dim))
+        slip = np.diff(path[:, :, q:], axis=1).reshape(-1, m) / dt - drift[:, q:]
+        return np.linalg.solve(sigma, slip[..., None]).reshape(len(path), n, m)
+
+    def fun_and_grad(u):
+        steps = _FD_STEP * np.eye(u.size)
+        vals = 0.5 * dt * np.sum(controls(paths(np.vstack([u, u + steps, u - steps]))) ** 2,
+                                 axis=(1, 2))
+        return vals[0], (vals[1:u.size + 1] - vals[u.size + 1:]) / (2 * _FD_STEP)
+
+    y0 = problem.start[q:].astype(float)
+    p = nearest(y0[None])[0]
+    end = p + _INSIDE * (p - y0)
+    line = dyn.x0[q:] + np.arange(1, n + 1)[:, None] / n * (to_system(end[None])[0] - dyn.x0[q:])
+    line[-1] = end                    # the last unknown is in original coordinates
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    starts = [line.ravel()] + [line.ravel() + _SPREAD * rng.standard_normal(n * m)
+                               for _ in range(restarts - 1)]
+    # the system's box: theta and its inverse are defined only on the map's grid
+    box = problem.noisy_box() if tsde is None else tsde.map.interior_box()
+    bounds = list(zip(np.tile(box.lo, n), np.tile(box.hi, n)))
+
+    runs = [minimize(fun_and_grad, start, jac=True, method="L-BFGS-B", bounds=bounds,
+                     options=_OPTIONS) for start in starts]
+    best = min(runs, key=lambda r: r.fun)
+    path = paths(best.x[None])
+    control = ControlPath(hdot=controls(path)[0], horizon_T=dyn.horizon)
+    values = [float(r.fun) for r in runs]
+    return RateResult(value=action(control), minimizer=control, endpoint=path[0, -1],
+                      multistart_spread=max(values) - min(values),
+                      converged=bool(best.success), n_intervals=n,
+                      restarts=[{"status": int(r.status), "nit": int(r.nit),
+                                 "objective": float(r.fun)} for r in runs])
 
 
 def rate_via_transform(problem, zmap, target, **kwargs):
-    """Minimum action on the transformed system with the target mapped by theta.
-
-    The path-space map acts pointwise, so the mapped set is
-    {y : theta^{-1}(y) in E}; its indicator-signed distance is evaluated by
-    pulling the endpoint back through the inverse map.
-    """
-    from .zvonkin import theta_inv, transform
-
-    tsde = transform(problem, zmap)
-    lo, hi = zmap.box.lo, zmap.box.hi
-
-    def pull_back(y_pts):
-        """theta^{-1} clamped to the map box; the clamp distance is added to
-        the signed distance so the penalty still pushes strays back inside."""
-        clipped = np.clip(y_pts, lo, hi)
-        excess = np.linalg.norm(y_pts - clipped, axis=-1)
-        return np.atleast_2d(theta_inv(zmap, clipped)), excess
-
-    if problem.layout == "nondegenerate":
-        def dist(y):
-            back, excess = pull_back(np.atleast_2d(y))
-            return target.distance(back) + excess
-    else:
-        d1, _ = problem.dims
-
-        def dist(z):
-            pts = np.atleast_2d(z)
-            back, excess = pull_back(pts[:, d1:])
-            joint = np.concatenate([pts[:, :d1], back], axis=1)
-            return target.distance(joint) + excess
-
-    mapped = Target(signed_distance=dist, description=f"theta({target.description})")
-    return minimize_rate(problem, mapped, tsde=tsde, **kwargs)
+    """``minimize_rate`` on the system transformed by ``zmap``'s theta, for
+    the same target in original coordinates."""
+    return minimize_rate(problem, target, tsde=transform(problem, zmap), **kwargs)

@@ -176,6 +176,7 @@ def verb_simulate(args):
 
 
 def _make_target(args, problem):
+    """The event's target set; an invalid one (a negative radius) is an input error."""
     coords = None
     if problem.layout == "degenerate" and args.coordinate is None:
         coords = (problem.state_dim - 1,)
@@ -185,7 +186,10 @@ def _make_target(args, problem):
         normal = [1.0]
         return half_space_target(normal, args.threshold, coords=coords)
     center = [args.threshold] if coords else [args.threshold] * problem.state_dim
-    return ball_target(center, radius=args.radius, coords=coords)
+    try:
+        return ball_target(center, radius=args.radius, coords=coords)
+    except ValueError as exc:
+        raise SystemExit(_fail(str(exc), EXIT_INPUT_ERROR))
 
 
 def verb_rate(args):
@@ -198,14 +202,17 @@ def verb_rate(args):
     try:
         result = minimize_rate(problem, target, n_intervals=args.n_intervals,
                                restarts=args.restarts, seed=args.seed)
-    except RuntimeError as exc:
-        return _fail(str(exc), EXIT_NO_CONVERGENCE)
+    except ValueError as exc:    # a target on a noise-free coordinate, say
+        return _fail(str(exc), EXIT_INPUT_ERROR)
     payload = {"value": result.value, "endpoint": result.endpoint.tolist(),
                "multistart_spread": result.multistart_spread,
-               "feasibility_residual": result.feasibility_residual,
-               "n_intervals": result.n_intervals, "restarts": result.restarts}
+               "converged": result.converged, "n_intervals": result.n_intervals,
+               "restarts": result.restarts}
     _write_json(args.out, "rate.json", payload)
     print(f"rate value {result.value:.6f} (spread {result.multistart_spread:.2e})")
+    if not result.converged:
+        return _fail("the best restart did not converge; see restarts in rate.json",
+                     EXIT_NO_CONVERGENCE)
     return EXIT_OK
 
 
@@ -241,7 +248,7 @@ def verb_ldp(args):
     if args.rate_value is not None:
         report = bound_check(est, args.rate_value, "upper_for_closed")
         payload["rate_value"] = args.rate_value
-        payload["bound_checks"] = [report.line()]
+        payload["bound_checks"] = [asdict(report)]
     _write_json(args.out, "ldp.json", payload)
     print(f"slope {est.slope:.6f} +/- {est.slope_stderr:.6f}")
     return EXIT_OK

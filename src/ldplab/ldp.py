@@ -99,12 +99,6 @@ class BoundReport:
     rate: float
     margin: float
 
-    def line(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"{verdict}: side={self.side} slope={self.slope:.5f} "
-                f"stderr={self.stderr:.5f} rate={self.rate:.5f} "
-                f"margin={self.margin:.5f}")
-
 
 def wilson_interval(hits, n, z=1.959963984540054):
     """Wilson 95% score interval for a binomial proportion."""

@@ -427,21 +427,17 @@ class TransformedSde:
         grad = self.map.u.jacobian(y) + np.eye(self.map.u.m)
         return y, grad, grad @ self.base.diffusion(y)
 
-    def coefficients(self, eps, pullback=None):
+    def coefficients(self, eps):
         """The transformed coefficients at ``eps`` as one callable on (B, dim)
-        joint states (x, y~): z -> (drift (B, dim), diffusion (B, m, m)).
-
-        ``pullback`` stands in for ``self.pullback`` (a tabulated copy, say).
-        """
+        joint states (x, y~): z -> (drift (B, dim), diffusion (B, m, m))."""
         zmap, q = self.map, self.n_quiet
-        pullback = pullback or self.pullback
         if q == 0:
             noisy_drift = self.base.drift.at(eps)
         else:
             quiet_drift, noisy_drift = self.base.bbar.at(eps), self.base.Bbar.at(eps)
 
         def func(z):
-            y, grad, sigma = pullback(z[:, q:])
+            y, grad, sigma = self.pullback(z[:, q:])
             joint = np.concatenate([z[:, :q], y], axis=1) if q else y
             drift = np.einsum("nij,nj->ni", grad, noisy_drift(joint))
             if eps != 0.0:

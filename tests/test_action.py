@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ldplab.action import (ControlPath, action, ball_target, half_space_target,
-                           minimize_rate, predicate_target, rate_via_transform, skeleton)
+                           minimize_rate, rate_via_transform, skeleton)
 from ldplab.problems import load_problem
 from ldplab.zvonkin import find_lambda0, theta, transform
 
@@ -42,8 +42,21 @@ def test_targets_signed_distance():
     half = half_space_target([1.0], 1.0)
     assert half.distance(np.array([0.0]))[0] == pytest.approx(1.0)
     assert half.distance(np.array([3.0]))[0] == pytest.approx(-2.0)
-    pred = predicate_target(lambda x: abs(x[0]) - 1.0)
-    assert pred.distance(np.array([0.5]))[0] == pytest.approx(-0.5)
+
+
+def test_targets_project_to_nearest_point():
+    ball = ball_target([2.0, 0.0], radius=0.5)
+    assert np.allclose(ball.project(np.array([[4.0, 0.0], [2.1, 0.2]])),
+                       [[2.5, 0.0], [2.1, 0.2]])
+    assert np.allclose(ball_target([1.0]).project(np.array([[3.0]])), [[1.0]])
+    half = half_space_target([1.0, 1.0], 2.0)
+    assert np.allclose(half.project(np.array([[0.0, 0.0], [3.0, 0.0]])),
+                       [[1.0, 1.0], [3.0, 0.0]])
+
+
+def test_ball_negative_radius_raises():
+    with pytest.raises(ValueError):
+        ball_target([1.0], radius=-0.1)
 
 
 def test_minimize_free_endpoint_matches_quadratic():
@@ -52,31 +65,29 @@ def test_minimize_free_endpoint_matches_quadratic():
     assert res.value == pytest.approx(0.5, rel=0.01)
     assert res.value >= 0.5 * (1 - 1e-3) ** 2 - 1e-6  # analytic lower bound
     assert res.converged
-    assert res.feasibility_residual <= 1e-2
+    assert ball_target([1.0]).distance(res.endpoint)[0] == pytest.approx(0.0, abs=1e-12)
+    assert [sorted(r) for r in res.restarts] == [["nit", "objective", "status"]] * 3
 
 
 def test_minimize_brute_force_two_interval_oracle():
-    """Grid search over 2-interval controls cross-checks the optimizer."""
+    """Grid search over the one free point of the 2-interval midpoint-rule
+    path cross-checks the optimizer."""
     problem = load_problem("ou-1d")
     res = minimize_rate(problem, ball_target([1.0]), n_intervals=2, restarts=3, seed=0)
-    grid = np.linspace(-1, 4, 161)
+    dt = 0.5
     best = np.inf
-    for h1 in grid:
-        # endpoint of x' = -x + h over two half-intervals (exact linear flow)
-        e = np.exp(-0.5)
-        # x(1) = h1*(1-e)*e + h2*(1-e) = 1 -> solve for h2
-        h2 = (1.0 - h1 * (1 - e) * e) / (1 - e)
-        best = min(best, 0.25 * (h1 ** 2 + h2 ** 2))
+    for phi1 in np.linspace(-1, 2, 3001):
+        # x' = -x + hdot: hdot_k = slope_k + midpoint_k on [0, phi1] and [phi1, 1]
+        hdots = [phi1 / dt + phi1 / 2, (1.0 - phi1) / dt + (phi1 + 1.0) / 2]
+        best = min(best, 0.5 * dt * sum(h ** 2 for h in hdots))
     assert res.value == pytest.approx(best, rel=0.02)
 
 
-def test_minimize_infeasible_target_raises():
-    problem = load_problem("free-endpoint")
-    # Empty target: distance is bounded away from zero for every endpoint.
-    empty = predicate_target(lambda x: 1.0)
-    with pytest.raises(RuntimeError):
-        minimize_rate(problem, empty, n_intervals=8, restarts=2, seed=0,
-                      penalty0=1e6, stages=1, maxiter=20)
+def test_minimize_noise_free_target_raises():
+    problem = load_problem("hamiltonian-2d")
+    with pytest.raises(ValueError, match="noise-free"):
+        minimize_rate(problem, half_space_target([1.0], 0.5, coords=(0,)), n_intervals=4,
+                      restarts=1)
 
 
 def test_rate_via_transform_free_case(dini_problem, dini_map):
@@ -93,15 +104,29 @@ def test_action_invariant_under_transform_pairing():
     assert action(c) == action(c)
 
 
-def test_skeleton_degenerate_transformed_conjugate():
-    """The same controls drive (X, Y) and the transformed (X, theta(Y)) skeletons."""
+@pytest.fixture(scope="module")
+def hamiltonian_map():
     problem = load_problem("hamiltonian-2d")
-    zmap = find_lambda0(problem, resolution=257).map
+    return problem, find_lambda0(problem, resolution=257).map
+
+
+def test_rate_via_transform_degenerate(hamiltonian_map):
+    problem, zmap = hamiltonian_map
+    target = half_space_target([1.0], 0.5, coords=(1,))
+    direct = minimize_rate(problem, target, n_intervals=16, restarts=2, seed=0)
+    through = rate_via_transform(problem, zmap, target, n_intervals=16, restarts=2, seed=0)
+    assert through.converged
+    assert through.value == pytest.approx(direct.value, rel=0.02)
+
+
+def test_skeleton_degenerate_transformed_conjugate(hamiltonian_map):
+    """The same controls drive (X, Y) and the transformed (X, theta(Y)) skeletons."""
+    problem, zmap = hamiltonian_map
     tsde = transform(problem, zmap)
     rng = np.random.Generator(np.random.Philox(key=0))
-    for _ in range(5):
-        control = ControlPath(hdot=0.5 * rng.standard_normal((8, 1)), horizon_T=1.0)
-        mapped = skeleton(problem, control, 256).states
-        mapped[:, 1:] = theta(zmap, mapped[:, 1:])
-        through = skeleton(problem, control, 256, tsde=tsde).states
-        assert np.max(np.linalg.norm(mapped - through, axis=-1)) <= 1e-3
+    control = ControlPath(hdot=0.5 * rng.standard_normal((5, 8, 1)), horizon_T=1.0)
+    mapped = skeleton(problem, control, 256).states
+    mapped[..., 1:] = theta(zmap, mapped[..., 1:].reshape(-1, 1)).reshape(5, 257, 1)
+    through = skeleton(problem, control, 256, tsde=tsde).states
+    assert through.shape == (5, 257, 2)
+    assert np.max(np.linalg.norm(mapped - through, axis=-1)) <= 1e-3

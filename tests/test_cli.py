@@ -125,13 +125,43 @@ def test_rate_verb(tmp_path):
     assert payload["value"] == pytest.approx(0.5, rel=0.01)
 
 
+def test_rate_verb_records_restarts(tmp_path):
+    code = main(["rate", "--problem", "ou-1d", "--out", str(tmp_path),
+                 "--restarts", "2", "--n-intervals", "8"])
+    assert code == 0
+    payload = json.loads((tmp_path / "rate.json").read_text())
+    assert payload["converged"] is True
+    restarts = payload["restarts"]
+    assert len(restarts) == 2
+    for record in restarts:
+        assert sorted(record) == ["nit", "objective", "status"]
+        assert isinstance(record["status"], int) and isinstance(record["nit"], int)
+        assert record["objective"] >= payload["value"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "hamiltonian-2d", "--coordinate", "0"],
+    ["--problem", "brownian-1d", "--coordinate", "3"],
+    ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "-1"],
+], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-radius"])
+def test_rate_input_errors_exit_2(tmp_path, capsys, flags):
+    code = main(["rate", "--out", str(tmp_path), "--restarts", "1", "--n-intervals", "4",
+                 *flags])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "rate.json").exists()
+
+
 def test_ldp_verb_small_ladder(tmp_path):
     code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
                  "--n-paths", "2000", "--n-steps", "32",
-                 "--eps-ladder", "1.0,0.5,0.25", "--threshold", "0.5"])
+                 "--eps-ladder", "1.0,0.5,0.25", "--threshold", "0.5", "--rate-value", "0.125"])
     assert code == 0
     payload = json.loads((tmp_path / "ldp.json").read_text())
     assert payload["slope"] < 0
+    (check,) = payload["bound_checks"]
+    assert check["margin"] == pytest.approx(2 * payload["stderr"] + 0.0125)
+    assert check["rate"] == 0.125 and isinstance(check["passed"], bool)
     lines = (tmp_path / "ladder.csv").read_text().splitlines()
     assert lines[0] == "eps,n_paths,hits,p_hat,ci_lo,ci_hi,escapes"
     assert len(lines) == 4

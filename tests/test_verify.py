@@ -69,3 +69,18 @@ def test_bench_coupling_check_reads_gate_report(monkeypatch):
     workloads.MinAction()
     checks = workloads.TransformCoupling.check({"coupling": verify.gate_ito_conjugacy()})
     assert checks and all(ok for _, ok, _ in checks), checks
+
+
+def test_bench_traced_calls_resolve(monkeypatch):
+    """Every call the benchmark's tracer wraps exists under its traced name, so
+    a rename in ldplab fails here rather than in a traced benchmark run."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, attr in tracing.TRACED:
+        obj = importlib.import_module(f"ldplab.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (mod_name, attr)
