@@ -26,7 +26,6 @@ from .zvonkin import (
     theta_inv,
     transform,
     save_map,
-    load_map,
 )
 from .simulate import (
     PathSample,

@@ -176,7 +176,11 @@ def verb_simulate(args):
 
 
 def _make_target(args, problem):
-    """The event's target set; an invalid one (a negative radius) is an input error."""
+    """The event's target set; an invalid one (a coordinate outside the state, a
+    negative radius) is an input error."""
+    if args.coordinate is not None and not 0 <= args.coordinate < problem.state_dim:
+        raise SystemExit(_fail(f"--coordinate must lie in [0, {problem.state_dim}), "
+                               f"got {args.coordinate}", EXIT_INPUT_ERROR))
     coords = None
     if problem.layout == "degenerate" and args.coordinate is None:
         coords = (problem.state_dim - 1,)

@@ -1,13 +1,17 @@
 """Small arithmetic expression language for user-defined scalar/vector fields.
 
 Expressions use variables ``x1..xn`` (or ``t`` for moduli, ``eps`` for drift
-families), the operators ``+ - * / ^`` and a fixed set of functions.  The
-evaluator is strict: ``log``/``sqrt`` of a nonpositive/negative argument and
-division by zero raise :class:`EvaluationError` instead of propagating NaN.
+families), the operators ``+ - * / ^`` and a fixed set of functions.  Python's
+parser reads the text (``^`` as ``**``); a whitelist of its nodes is compiled
+into closures, and user text never reaches ``eval``.  The evaluator is strict:
+``log``/``sqrt`` of a nonpositive/negative argument and division by zero raise
+:class:`EvaluationError` instead of propagating NaN.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,278 +37,113 @@ class EvaluationError(ArithmeticError):
     """Raised when an expression hits an invalid numeric domain."""
 
 
-# ---------------------------------------------------------------------------
-# Tokenizer
-
-_OPS = set("+-*/^(),")
-
-
-@dataclass
-class _Token:
-    kind: str  # 'num', 'ident', 'op', 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_e = False
-            while j < n and (text[j].isdigit() or text[j] == "." or text[j] in "eE"
-                             or (seen_e and text[j] in "+-" and text[j - 1] in "eE")):
-                if text[j] in "eE":
-                    if seen_e:
-                        break
-                    # only treat as exponent if followed by digit or sign+digit
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k >= n or not text[k].isdigit():
-                        break
-                    seen_e = True
-                j += 1
-            try:
-                float(text[i:j])
-            except ValueError:
-                raise ParseError("malformed number", i, text[i:j])
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character", i, c)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-class Node:
-    def eval(self, env):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def text(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-@dataclass
-class Num(Node):
-    value: float
-
-    def eval(self, env):
-        return self.value
-
-    def text(self):
-        return repr(self.value)
-
-
-@dataclass
-class Var(Node):
-    name: str
-
-    def eval(self, env):
-        return env[self.name]
-
-    def text(self):
-        return self.name
-
-
-@dataclass
-class Neg(Node):
-    arg: Node
-
-    def eval(self, env):
-        return -self.arg.eval(env)
-
-    def text(self):
-        return f"(-{self.arg.text()})"
-
-
-@dataclass
-class BinOp(Node):
-    op: str
-    left: Node
-    right: Node
-
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0):
-                raise EvaluationError("division by zero")
-            return a / b
-        if self.op == "^":
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                out = np.power(np.asarray(a, dtype=float), b)
-            if not np.all(np.isfinite(out)):
-                raise EvaluationError("non-finite result of exponentiation")
-            return out
-        raise AssertionError(self.op)
-
-    def text(self):
-        return f"({self.left.text()} {self.op} {self.right.text()})"
-
-
-def _checked(name, fn, domain=None):
-    def wrapper(*args):
-        if domain is not None:
-            bad = domain(*args)
-            if np.any(bad):
-                raise EvaluationError(f"{name}: argument outside domain")
-        return fn(*args)
+def _checked(name, fn, domain):
+    def wrapper(a):
+        if np.any(domain(a)):
+            raise EvaluationError(f"{name}: argument outside domain")
+        return fn(a)
 
     return wrapper
 
 
+# name -> (arity, function); a negative arity is a minimum
 _FUNCTIONS = {
     "sin": (1, np.sin),
     "cos": (1, np.cos),
     "tanh": (1, np.tanh),
-    "exp": (1, _checked("exp", np.exp, domain=lambda a: np.asarray(a) > 700)),
-    "log": (1, _checked("log", np.log, domain=lambda a: np.asarray(a) <= 0)),
-    "sqrt": (1, _checked("sqrt", np.sqrt, domain=lambda a: np.asarray(a) < 0)),
+    "exp": (1, _checked("exp", np.exp, lambda a: np.asarray(a) > 700)),
+    "log": (1, _checked("log", np.log, lambda a: np.asarray(a) <= 0)),
+    "sqrt": (1, _checked("sqrt", np.sqrt, lambda a: np.asarray(a) < 0)),
     "abs": (1, np.abs),
     "min": (-2, lambda *a: np.minimum.reduce(np.broadcast_arrays(*a))),
     "max": (-2, lambda *a: np.maximum.reduce(np.broadcast_arrays(*a))),
 }
 
 
-@dataclass
-class Call(Node):
-    name: str
-    args: list
-
-    def eval(self, env):
-        arity, fn = _FUNCTIONS[self.name]
-        return fn(*[a.eval(env) for a in self.args])
-
-    def text(self):
-        return f"{self.name}({', '.join(a.text() for a in self.args)})"
+def _divide(a, b):
+    if np.any(b == 0):
+        raise EvaluationError("division by zero")
+    return a / b
 
 
-# ---------------------------------------------------------------------------
-# Parser (recursive descent; ^ binds tightest, right-associative)
+def _power(a, b):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = np.power(np.asarray(a, dtype=float), b)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("non-finite result of exponentiation")
+    return out
 
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.i = 0
-        self.variables = variables
 
-    def peek(self):
-        return self.tokens[self.i]
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: _divide, ast.Pow: _power}
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, text):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos, tok.text)
-        return tok
+def _python_source(text):
+    """``text`` as Python source (``^`` -> ``**``, blanks -> spaces, leading
+    blanks dropped) and, per source index, the index in ``text``."""
+    out, where = [], []
+    for i, c in enumerate(text):
+        if c.isspace():
+            if not out:
+                continue
+            c = " "
+        elif c == "*" and text[i + 1:i + 2] == "*":
+            raise ParseError("'**' is not an operator, use '^'", i, "**")
+        elif c == "#" or not c.isascii():   # Python drops comments, folds look-alikes
+            raise ParseError("unexpected character", i, c)
+        out.append("**" if c == "^" else c)
+        where.extend([i] * len(out[-1]))
+    return "".join(out), where + [len(text)]
 
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("trailing input", tok.pos, tok.text)
-        return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            node = BinOp(op, node, self.term())
-        return node
+def _compile(node, variables, text, where):
+    """The closure env -> value of an accepted node; ParseError otherwise."""
+    def sub(child):
+        return _compile(child, variables, text, where)
 
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
-            node = BinOp(op, node, self.unary())
-        return node
+    def reject(message):
+        start, end = where[node.col_offset], where[node.end_col_offset]
+        return ParseError(message, start, text[start:end])
 
-    def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            return Neg(self.unary())
-        if tok.kind == "op" and tok.text == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.take()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in _FUNCTIONS:
-                    raise ParseError("unknown function", tok.pos, tok.text)
-                self.take()
-                args = [self.expr()]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.take()
-                    args.append(self.expr())
-                self.expect(")")
-                arity, _ = _FUNCTIONS[tok.text]
-                if arity >= 0 and len(args) != arity:
-                    raise ParseError(f"{tok.text} takes {arity} argument(s), got {len(args)}",
-                                     tok.pos, tok.text)
-                if arity < 0 and len(args) < -arity:
-                    raise ParseError(f"{tok.text} takes at least {-arity} arguments, got {len(args)}",
-                                     tok.pos, tok.text)
-                return Call(tok.text, args)
-            if tok.text not in self.variables:
-                raise ParseError("unknown identifier", tok.pos, tok.text)
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError("unexpected token", tok.pos, tok.text)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            value = float(node.value)
+        except OverflowError:
+            raise reject("number out of range") from None
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        if node.id not in variables:
+            raise reject("unknown identifier")
+        name = node.id
+        return lambda env: env[name]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        arg = sub(node.operand)
+        return arg if isinstance(node.op, ast.UAdd) else (lambda env: -arg(env))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, left, right = _BINARY[type(node.op)], sub(node.left), sub(node.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise reject("unknown function")
+        if node.keywords or any(isinstance(a, ast.Starred) for a in node.args):
+            raise reject(f"{name} takes positional arguments only")
+        arity, fn = _FUNCTIONS[name]
+        n = len(node.args)
+        if arity >= 0 and n != arity:
+            raise reject(f"{name} takes {arity} argument(s), got {n}")
+        if arity < 0 and n < -arity:
+            raise reject(f"{name} takes at least {-arity} arguments, got {n}")
+        args = [sub(a) for a in node.args]
+        return lambda env: fn(*[a(env) for a in args])
+    raise reject("unsupported syntax")
 
 
 @dataclass
 class Expression:
     """A parsed scalar expression over a fixed variable set."""
 
-    root: Node
+    evaluate: object      # env dict -> value
     variables: tuple
     source: str
 
@@ -312,19 +151,20 @@ class Expression:
         missing = [v for v in self.variables if v not in env]
         if missing:
             raise EvaluationError(f"missing variables {missing}")
-        out = self.root.eval(env)
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(self.evaluate(env), dtype=float)
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"non-finite value from {self.source!r}")
         return out
 
-    def text(self):
-        return self.root.text()
-
 
 def parse_expression(text, variables):
     """Parse one scalar expression using the given variable names."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, set(variables))
-    root = parser.parse()
-    return Expression(root=root, variables=tuple(variables), source=text)
+    source, where = _python_source(text)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        offset = getattr(exc, "offset", None)
+        pos = where[min(offset - 1, len(source))] if offset else len(text)
+        raise ParseError(getattr(exc, "msg", str(exc)), pos, text[pos:pos + 1]) from None
+    evaluate = _compile(tree.body, set(variables), text, where)
+    return Expression(evaluate=evaluate, variables=tuple(variables), source=text)

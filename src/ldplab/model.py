@@ -23,6 +23,7 @@ __all__ = [
     "DiniVerdict",
     "dini_classify",
     "VectorField",
+    "coordinate_function",
     "parse_field",
     "DriftFamily",
     "SdeProblem",
@@ -237,14 +238,12 @@ class VectorField:
     """Evaluable field R^in_dim -> R^out_dim (or out_dim x out_dim matrices).
 
     ``func`` maps a batch (n, in_dim) to (n, out_dim) (or (n, m, m) for
-    matrix-valued diffusions).  ``exprs`` holds per-coordinate expression
-    trees when the field came from text, enabling exact round-trips.
+    matrix-valued diffusions).
     """
 
     in_dim: int
     out_dim: int
     func: object = None
-    exprs: list | None = None
     matrix: bool = False
     declared_modulus: Modulus | None = None
     declared_bound: float | None = None
@@ -258,15 +257,7 @@ class VectorField:
         if pts.shape[-1] != self.in_dim:
             raise ValueError(f"field {self.name or '<anon>'} expects dimension {self.in_dim}, "
                              f"got {pts.shape[-1]}")
-        if self.exprs is not None:
-            env = {f"x{i + 1}": pts[:, i] for i in range(self.in_dim)}
-            cols = [np.broadcast_to(np.asarray(e(**env), dtype=float), (pts.shape[0],))
-                    for e in self.exprs]
-            out = np.stack(cols, axis=-1)
-            if self.matrix:
-                out = out.reshape(pts.shape[0], self.out_dim, self.out_dim)
-        else:
-            out = np.asarray(self.func(pts), dtype=float)
+        out = np.asarray(self.func(pts), dtype=float)
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"field {self.name or '<anon>'} produced non-finite values")
         expected = (pts.shape[0], self.out_dim, self.out_dim) if self.matrix \
@@ -276,21 +267,32 @@ class VectorField:
                              f"expected {expected}")
         return out[0] if single else out
 
-    def text(self):
-        if self.exprs is None:
-            raise ValueError("field has no expression form")
-        return "; ".join(e.text() for e in self.exprs)
+
+def coordinate_function(text, in_dim, n_out, extra=()):
+    """``';'``-separated coordinate expressions in x1..x<in_dim> (and the
+    names in ``extra``) as one batch function ``(x, **extra) -> (n, n_out)``."""
+    parts = [p.strip() for p in text.split(";")]
+    if len(parts) != n_out:
+        raise ParseError(f"expected {n_out} coordinate expression(s), got {len(parts)}", 0)
+    exprs = [parse_expression(p, [f"x{i + 1}" for i in range(in_dim)] + list(extra))
+             for p in parts]
+
+    def func(x, **values):
+        env = {f"x{i + 1}": x[:, i] for i in range(in_dim)}
+        env.update(values)
+        cols = [np.broadcast_to(np.asarray(e(**env), dtype=float), (x.shape[0],))
+                for e in exprs]
+        return np.stack(cols, axis=-1)
+
+    return func
 
 
 def parse_field(expression_text, in_dim, out_dim, matrix=False, **meta):
     """Parse ';'-separated coordinate expressions into a VectorField."""
-    parts = [p.strip() for p in expression_text.split(";")]
     n_out = out_dim * out_dim if matrix else out_dim
-    if len(parts) != n_out:
-        raise ParseError(f"expected {n_out} coordinate expression(s), got {len(parts)}", 0)
-    variables = [f"x{i + 1}" for i in range(in_dim)]
-    exprs = [parse_expression(p, variables) for p in parts]
-    return VectorField(in_dim=in_dim, out_dim=out_dim, exprs=exprs, matrix=matrix, **meta)
+    coords = coordinate_function(expression_text, in_dim, n_out)
+    func = (lambda x: coords(x).reshape(x.shape[0], out_dim, out_dim)) if matrix else coords
+    return VectorField(in_dim=in_dim, out_dim=out_dim, func=func, matrix=matrix, **meta)
 
 
 @dataclass

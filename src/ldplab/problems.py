@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import configparser
+import inspect
 from importlib import resources
 
 import numpy as np
 
-from .expr import parse_expression
-from .model import Box, DriftFamily, Modulus, SdeProblem, VectorField, parse_field
+from .model import (Box, DriftFamily, Modulus, SdeProblem, VectorField, coordinate_function,
+                    parse_field)
 
 __all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems",
            "bundled_sections"]
@@ -110,7 +112,12 @@ FIELD_REGISTRY = {
 def build_field(name, **params):
     if name not in FIELD_REGISTRY:
         raise KeyError(f"unknown registry field {name!r}; known: {sorted(FIELD_REGISTRY)}")
-    return FIELD_REGISTRY[name](**params)
+    builder = FIELD_REGISTRY[name]
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"registry field {name!r}: {exc}") from None
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +126,19 @@ def build_field(name, **params):
 #   field = expr: <';'-separated coordinate expressions>
 #   field = registry: name(param=value, ...)
 
-def _parse_params(text):
-    params = {}
-    text = text.strip()
-    if not text:
-        return params
-    for part in text.split(","):
-        key, _, val = part.partition("=")
-        key = key.strip()
-        val = val.strip()
-        try:
-            num = float(val)
-            params[key] = int(num) if num.is_integer() and "." not in val else num
-        except ValueError:
-            params[key] = val
-    return params
+def _registry_call(body):
+    """``name`` or ``name(key=value, ...)`` with literal values, as (name, params)."""
+    try:
+        node = ast.parse(body, mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError(f"registry field {body!r} is malformed: {exc.msg}") from None
+    if isinstance(node, ast.Name):
+        return node.id, {}
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        raise ValueError(f"registry field {body!r} must be name or name(key=value, ...)")
+    if node.args or any(k.arg is None for k in node.keywords):
+        raise ValueError(f"registry field {node.func.id!r} takes keyword arguments only")
+    return node.func.id, {k.arg: ast.literal_eval(k.value) for k in node.keywords}
 
 
 def parse_field_spec(spec, in_dim, out_dim, matrix=False):
@@ -144,9 +149,7 @@ def parse_field_spec(spec, in_dim, out_dim, matrix=False):
     if kind == "expr":
         return parse_field(body, in_dim, out_dim, matrix=matrix)
     if kind == "registry":
-        name, _, rest = body.partition("(")
-        name = name.strip()
-        params = _parse_params(rest.rstrip(")")) if rest else {}
+        name, params = _registry_call(body)
         if name in ("zero",):
             params.setdefault("in_dim", in_dim)
             params.setdefault("out_dim", out_dim)
@@ -162,22 +165,11 @@ def parse_field_spec(spec, in_dim, out_dim, matrix=False):
 
 def _expression_family(pert_text, in_dim, out_dim):
     """Perturbation family from an expression in x1..xn and eps."""
-    variables = [f"x{i + 1}" for i in range(in_dim)] + ["eps"]
-    parts = [p.strip() for p in pert_text.split(";")]
-    if len(parts) != out_dim:
-        raise ValueError(f"perturbation needs {out_dim} coordinate expression(s)")
-    exprs = [parse_expression(p, variables) for p in parts]
+    coords = coordinate_function(pert_text, in_dim, out_dim, extra=("eps",))
 
     def family(eps):
-        def func(x):
-            env = {f"x{i + 1}": x[:, i] for i in range(in_dim)}
-            env["eps"] = float(eps)
-            cols = [np.broadcast_to(np.asarray(e(**env), dtype=float), (x.shape[0],))
-                    for e in exprs]
-            return np.stack(cols, axis=-1)
-
-        return VectorField(in_dim=in_dim, out_dim=out_dim, func=func,
-                           name=f"pert(eps={eps})")
+        return VectorField(in_dim=in_dim, out_dim=out_dim,
+                           func=lambda x: coords(x, eps=float(eps)), name=f"pert(eps={eps})")
 
     return family
 

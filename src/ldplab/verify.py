@@ -36,6 +36,9 @@ class GateReport:
     skipped: bool = False
     wall_s: float | None = None   # set by run_gates; None for a skipped gate
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)   # a verdict ending in a NumPy comparison
+
     def line(self):
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         info = " ".join(f"{k}={_fmt(v)}" for k, v in self.detail.items())

@@ -32,11 +32,15 @@ __all__ = [
     "theta_inv",
     "transform",
     "save_map",
-    "load_map",
 ]
 
 CERTIFY_NORM_SUM = 0.5
-DEFAULT_MARGIN = 0.2
+MARGIN = 0.2            # per-side fraction of the box outside the interior box
+PICARD_TOL = 1e-10      # sup-norm Picard update that ends a resolvent solve
+PICARD_MAX_ITERS = 60
+LAMBDA_GROWTH = 2.0     # ratio between consecutive lambdas of the ladder
+INVERSE_TOL = 1e-12     # step size that ends the theta^{-1} iteration
+INVERSE_MAX_ITERS = 200
 
 
 class SolveFailure(RuntimeError):
@@ -235,7 +239,6 @@ class ZvonkinMap:
     residual: float       # interior sup-norm PDE residual
     certified: bool
     picard_iters: int = 0
-    margin: float = DEFAULT_MARGIN
 
     @property
     def norm_sum(self):
@@ -246,7 +249,7 @@ class ZvonkinMap:
         return self.u.box
 
     def interior_box(self):
-        return self.u.box.shrink(self.margin)
+        return self.u.box.shrink(MARGIN)
 
     def certificate_line(self):
         a, b, c = self.norms
@@ -265,8 +268,17 @@ def _interior_mask(shape):
     return mask.reshape(-1)
 
 
-def solve_resolvent(problem, lam, box=None, resolution=257, tol=1e-10, max_iters=60,
-                    margin=DEFAULT_MARGIN):
+def _transport(b2, u, h):
+    """(b2 . grad) u at the nodes, by grid differences; (n_nodes, m)."""
+    m = u.shape[-1]
+    out = np.zeros_like(b2)
+    for c in range(m):
+        for i in range(m):
+            out[:, c] += b2[:, i] * _axis_gradient(u[..., c], h, i).reshape(-1)
+    return out
+
+
+def solve_resolvent(problem, lam, resolution=257):
     """Picard iteration for the vector resolvent equation on the noisy block.
 
     Each step solves the linear problem (lambda - L) u_{k+1} = b2 + (b2 . grad) u_k
@@ -274,7 +286,7 @@ def solve_resolvent(problem, lam, box=None, resolution=257, tol=1e-10, max_iters
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    box = box or problem.noisy_box()
+    box = problem.noisy_box()
     m = problem.noisy_dim
     if resolution < 17:
         raise ValueError("resolution must be at least 17 points per axis")
@@ -293,23 +305,16 @@ def solve_resolvent(problem, lam, box=None, resolution=257, tol=1e-10, max_iters
 
     u = np.zeros(grid_shape + (m,))
     update = np.inf
-    for it in range(1, max_iters + 1):
-        rhs = b2.copy()
-        # transport term (b2 . grad) u_k via grid differences
-        grad_dot = np.zeros_like(rhs)
-        for c in range(m):
-            for i in range(m):
-                gi = _axis_gradient(u[..., c], h, i).reshape(-1)
-                grad_dot[:, c] += b2[:, i] * gi
-        rhs += grad_dot
+    for it in range(1, PICARD_MAX_ITERS + 1):
+        rhs = b2 + _transport(b2, u, h)
         u_new = np.stack([lu.solve(rhs[:, c]) for c in range(m)], axis=-1)
         u_new = u_new.reshape(grid_shape + (m,))
         update = float(np.max(np.abs(u_new - u)))
         u = u_new
-        if update < tol:
+        if update < PICARD_TOL:
             break
     else:
-        raise SolveFailure(f"Picard iteration did not converge within {max_iters} steps "
+        raise SolveFailure(f"Picard iteration did not converge within {PICARD_MAX_ITERS} steps "
                            f"(last update {update:.3e})")
 
     gf = GridFunction(box=box, axes=axes, values=u)
@@ -317,18 +322,14 @@ def solve_resolvent(problem, lam, box=None, resolution=257, tol=1e-10, max_iters
 
     # interior residual of L u + b2 + (b2.grad)u - lambda u with the same stencils
     flat_u = u.reshape(-1, m)
-    rhs_final = b2.copy()
-    for c in range(m):
-        for i in range(m):
-            rhs_final[:, c] += b2[:, i] * _axis_gradient(u[..., c], h, i).reshape(-1)
-    res = rhs_final - np.stack([A @ flat_u[:, c] for c in range(m)], axis=-1)
+    res = b2 + _transport(b2, u, h) - np.stack([A @ flat_u[:, c] for c in range(m)], axis=-1)
     interior = _interior_mask(grid_shape)
     residual = float(np.max(np.abs(res[interior]))) if np.any(interior) else 0.0
 
     # tiny slack so a norm sum of exactly 1/2 is not rejected by roundoff
     certified = sum(norms) <= CERTIFY_NORM_SUM * (1.0 + 1e-9) + 1e-12
     return ZvonkinMap(lam=lam, u=gf, norms=norms, residual=residual,
-                      certified=certified, picard_iters=it, margin=margin)
+                      certified=certified, picard_iters=it)
 
 
 @dataclass
@@ -338,22 +339,20 @@ class Lambda0Result:
     trail: list  # (lambda, norms, norm_sum) along the ladder
 
 
-def find_lambda0(problem, box=None, resolution=257, lambda_start=1.0, growth=2.0,
-                 tol=1e-10, max_doublings=20, margin=DEFAULT_MARGIN):
+def find_lambda0(problem, resolution=257, lambda_start=1.0, max_doublings=20):
     """Geometric lambda ladder; returns the first certified resolvent map."""
-    if lambda_start <= 0 or growth <= 1:
-        raise ValueError("need lambda_start > 0 and growth > 1")
+    if lambda_start <= 0:
+        raise ValueError("need lambda_start > 0")
     trail = []
     lam = lambda_start
     for _ in range(max_doublings + 1):
-        zmap = solve_resolvent(problem, lam, box=box, resolution=resolution, tol=tol,
-                               margin=margin)
+        zmap = solve_resolvent(problem, lam, resolution=resolution)
         trail.append((lam, zmap.norms, zmap.norm_sum))
         if zmap.certified:
             return Lambda0Result(lambda0=lam, map=zmap, trail=trail)
-        lam *= growth
+        lam *= LAMBDA_GROWTH
     sums = ", ".join(f"{l:g}:{s:.3g}" for l, _, s in trail)
-    raise SolveFailure(f"no certified lambda at or below {lam / growth:g} "
+    raise SolveFailure(f"no certified lambda at or below {lam / LAMBDA_GROWTH:g} "
                        f"(norm-sum trajectory {sums})")
 
 
@@ -366,7 +365,7 @@ def theta(zmap, x):
     return x + zmap.u(x)
 
 
-def theta_inv(zmap, y, tol=1e-12, max_iters=200, record_steps=False):
+def theta_inv(zmap, y, record_steps=False):
     """Inverse by the contraction x <- y - u(x); geometric rate <= 1/2."""
     if not zmap.certified:
         raise SolveFailure("theta_inv requires a certified map")
@@ -374,7 +373,7 @@ def theta_inv(zmap, y, tol=1e-12, max_iters=200, record_steps=False):
     single = y.ndim == 1
     x = np.atleast_2d(y).copy()
     steps = []
-    for _ in range(max_iters):
+    for _ in range(INVERSE_MAX_ITERS):
         inside = zmap.box.contains(x, tol=1e-12)
         if not np.all(inside):
             raise SolveFailure("inverse iteration left the box: target outside the image")
@@ -382,10 +381,10 @@ def theta_inv(zmap, y, tol=1e-12, max_iters=200, record_steps=False):
         step = float(np.max(np.linalg.norm(x_new - x, axis=-1)))
         steps.append(step)
         x = x_new
-        if step < tol:
+        if step < INVERSE_TOL:
             break
     else:
-        raise SolveFailure(f"inverse iteration did not reach tol={tol}")
+        raise SolveFailure(f"inverse iteration did not reach tol={INVERSE_TOL}")
     if record_steps:
         return (x[0] if single else x), steps
     return x[0] if single else x
@@ -465,7 +464,7 @@ def save_map(zmap, header_path, values_path):
         "norms": list(zmap.norms),
         "residual": zmap.residual,
         "certified": zmap.certified,
-        "margin": zmap.margin,
+        "margin": MARGIN,
     }
     with open(header_path, "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2)
@@ -476,21 +475,3 @@ def save_map(zmap, header_path, values_path):
         writer.writerow([f"u{c + 1}" for c in range(zmap.u.m)])
         for row in flat:
             writer.writerow([f"{float(v):.17g}" for v in row])
-
-
-def load_map(header_path, values_path):
-    with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    box = Box.of(header["box_lo"], header["box_hi"])
-    shape = tuple(header["resolution"])
-    with open(values_path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        flat = np.array([[float(v) for v in row] for row in reader])
-    gf = GridFunction(box=box,
-                      axes=[np.linspace(box.lo[i], box.hi[i], shape[i])
-                            for i in range(len(shape))],
-                      values=flat.reshape(shape + (flat.shape[-1],)))
-    return ZvonkinMap(lam=header["lambda"], u=gf, norms=tuple(header["norms"]),
-                      residual=header["residual"], certified=header["certified"],
-                      margin=header.get("margin", DEFAULT_MARGIN))

@@ -1,6 +1,8 @@
 import json
 import platform
+import shlex
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,16 @@ def test_malformed_file_exit_2(tmp_path):
     bad = tmp_path / "broken.ini"
     bad.write_text("[problem]\ndims = not_a_number\n")
     assert main(["validate", "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("call", ["tanhlog_dini(2)", "tanhlog_dini(foo=2)"],
+                         ids=["positional", "unknown-name"])
+def test_bad_registry_call_exit_2(tmp_path, capsys, call):
+    bad = tmp_path / "bad.ini"
+    bad.write_text((files("ldplab") / "problems" / "dini-tanhlog-1d.ini").read_text()
+                   .replace("tanhlog_dini(beta=2, gain=3)", call))
+    assert main(["validate", "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "'tanhlog_dini'" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -142,8 +154,10 @@ def test_rate_verb_records_restarts(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--problem", "hamiltonian-2d", "--coordinate", "0"],
     ["--problem", "brownian-1d", "--coordinate", "3"],
+    ["--problem", "brownian-1d", "--coordinate", "-1"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "-1"],
-], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-radius"])
+], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-coordinate",
+        "negative-radius"])
 def test_rate_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["rate", "--out", str(tmp_path), "--restarts", "1", "--n-intervals", "4",
                  *flags])
@@ -188,7 +202,10 @@ def test_ldp_reproducible(tmp_path):
     ["--n-paths", "50"],
     ["--n-steps", "0"],
     ["--eps-ladder", "1.0,-0.5,0.25"],
-], ids=["eps-not-a-number", "too-few-paths", "zero-steps", "negative-eps"])
+    ["--coordinate", "3"],
+    ["--coordinate", "-1"],
+], ids=["eps-not-a-number", "too-few-paths", "zero-steps", "negative-eps",
+        "coordinate-outside-state", "negative-coordinate"])
 def test_ldp_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
                  "--n-paths", "200", "--n-steps", "16", *flags])
@@ -218,7 +235,10 @@ def test_verify_subset_with_skip(tmp_path, capsys):
 
 def test_verify_writes_numbers(tmp_path):
     assert main(["verify", "--out", str(tmp_path), "--gates",
-                 "constant_resolvent_exactness,norm_certificate,dini_classification"]) == 0
+                 "constant_resolvent_exactness,norm_certificate,rate_oracles,"
+                 "transform_rate_identity,dini_classification"]) == 0
+    for name in ("rate_oracles", "transform_rate_identity"):
+        assert json.loads((tmp_path / f"gate_{name}.json").read_text())["passed"] is True
     report = json.loads((tmp_path / "gate_constant_resolvent_exactness.json").read_text())
     assert isinstance(report["detail"]["sup_error"], float)
     sums = json.loads((tmp_path / "gate_norm_certificate.json").read_text())["detail"]
@@ -230,3 +250,16 @@ def test_verify_writes_numbers(tmp_path):
     assert [h["alpha"] for h in dini["holder"]] == [0.25, 0.5, 0.75]
     assert all(isinstance(h["value"], float) and h["rel_err"] <= 1e-3
                for h in dini["holder"])
+
+
+def test_readme_example_runs(tmp_path):
+    """Every ``ldplab`` line of the README's Example block exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Example", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert lines and all(line.startswith("ldplab ") for line in lines)
+    for line in lines:
+        args = shlex.split(line)[1:]
+        at = args.index("--out") + 1
+        args[at] = str(tmp_path / args[at])
+        assert main(args) == 0, line

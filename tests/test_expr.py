@@ -30,16 +30,28 @@ def test_functions():
     assert np.allclose(e(t=t), expected)
 
 
-def test_round_trip_text():
-    src = "tanh(3 * x1) * min(1, log(1 + 1 / x1) ^ (-2))"
-    e = parse_expression(src, ["x1"])
-    e2 = parse_expression(e.text(), ["x1"])
-    x = np.linspace(0.01, 2, 37)
-    assert np.allclose(e(x1=x), e2(x1=x))
+_X1 = np.linspace(-2.0, 2.0, 41)
+_X2 = np.linspace(-3.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("src,expected", [
+    ("-0.1 * tanh(x2)", -0.1 * np.tanh(_X2)),
+    ("-x1^2", -np.power(_X1, 2.0)),
+    ("2^-1", np.power(2.0, -1.0)),
+    ("8/4/2", 8.0 / 4.0 / 2.0),
+    ("1-2-3", 1.0 - 2.0 - 3.0),
+    ("+x1", _X1),
+])
+def test_exact_values(src, expected):
+    """The same NumPy operations as written, bit for bit (np.power for ^)."""
+    got = parse_expression(src, ["x1", "x2"])(x1=_X1, x2=_X2)
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("bad", [
     "1 +", "min(1)", "unknownfn(2)", "x9", "2 $ 3", "(1 + 2", "sin(1, 2)",
+    "x1 < 2", "x1.real", "[1]", "1j", "True", "x1 if x1 else 2", "__import__('os')",
+    "min(x1, y=2)", "min(*x1)", "lambda: 1", "x1 // 2", "x1 % 2", "'a'", "x1 ** 2",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):

@@ -10,6 +10,14 @@ def test_bundled_suite_loads():
         problem = load_problem(name)
         assert problem.name == name
         assert problem.state_dim >= 1
+        z = problem.start
+        y = z[problem.state_dim - problem.noisy_dim:]
+        drifts = [problem.drift] if problem.layout == "nondegenerate" \
+            else [problem.bbar, problem.Bbar]
+        for family in drifts:
+            assert family.at(0.25)(z).shape == (family.limit.out_dim,)
+        assert problem.diffusion(y).shape == (problem.noisy_dim, problem.noisy_dim)
+        assert problem.singular_or_zero()(y).shape == (problem.noisy_dim,)
 
 
 def test_registry_field_params():
@@ -57,7 +65,8 @@ start = 0.5
 ellipticity_K = 2.0
 
 [drift]
-limit = expr: -x1; -x2
+limit = expr: -x1 +
+    x2; -x2
 
 [diffusion]
 field = registry: identity_matrix
@@ -66,6 +75,7 @@ field = registry: identity_matrix
     assert problem.state_dim == 2
     assert problem.horizon_T == 2.0
     assert np.allclose(problem.start, [0.5, 0.5])
+    assert np.array_equal(problem.drift.limit(np.array([[1.0, 3.0]])), [[2.0, -3.0]])
 
 
 def test_singular_without_modulus_rejected(tmp_path):

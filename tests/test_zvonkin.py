@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from ldplab.model import Box, DriftFamily, Modulus, SdeProblem, VectorField
 from ldplab.problems import build_field, load_problem
-from ldplab.zvonkin import (SolveFailure, find_lambda0, load_map, save_map,
-                            solve_resolvent, theta, theta_inv, transform)
+from ldplab.zvonkin import (SolveFailure, find_lambda0, save_map, solve_resolvent, theta,
+                            theta_inv, transform)
 
 
 def _problem_with_singular(func, bound, name="synthetic"):
@@ -91,15 +93,18 @@ def test_transform_start_maps_through_theta(dini_problem, dini_map):
     assert np.allclose(tsde.start(), theta(dini_map, dini_problem.start))
 
 
-def test_save_load_round_trip(dini_map, tmp_path):
-    header = tmp_path / "map.json"
-    values = tmp_path / "map.csv"
+def test_save_map_files(dini_map, tmp_path):
+    header, values = tmp_path / "map.json", tmp_path / "map.csv"
     save_map(dini_map, header, values)
-    loaded = load_map(header, values)
-    assert loaded.lam == dini_map.lam
-    assert loaded.certified == dini_map.certified
-    pts = np.linspace(-4, 4, 17)[:, None]
-    assert np.allclose(theta(loaded, pts), theta(dini_map, pts))
+    written = json.loads(header.read_text())
+    assert written["lambda"] == dini_map.lam
+    assert written["box_lo"] == dini_map.box.lo.tolist()
+    assert written["box_hi"] == dini_map.box.hi.tolist()
+    assert written["resolution"] == [257]
+    assert written["norms"] == list(dini_map.norms)
+    assert written["certified"] is True and written["margin"] == 0.2
+    table = np.loadtxt(values, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table, dini_map.u.values.reshape(-1, dini_map.u.m))
 
 
 def test_resolvent_rejects_bad_lambda():
