@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .simulate import dynamics
+from .simulate import apply_noise, dynamics
 from .zvonkin import theta, transform
 
 __all__ = [
@@ -100,7 +100,7 @@ def skeleton(problem, control, n_steps, tsde=None):
 
     def velocity(z, h):
         drift, sigma = dyn.coefficients(z)
-        return drift + np.pad(np.einsum("nij,nj->ni", sigma, h), ((0, 0), (dyn.n_quiet, 0)))
+        return drift + np.pad(apply_noise(sigma, h), ((0, 0), (dyn.n_quiet, 0)))
 
     z = np.tile(dyn.x0, (len(hdots), 1))
     states = [z]
@@ -242,6 +242,7 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
         """hdot_k = sigma(m_k)^{-1} (phi'_k - b(m_k)) of (R, n+1, dim) paths."""
         drift, sigma = dyn.coefficients(0.5 * (path[:, 1:] + path[:, :-1]).reshape(-1, dim))
         slip = np.diff(path[:, :, q:], axis=1).reshape(-1, m) / dt - drift[:, q:]
+        # a constant (m, m) sigma broadcasts over the rows
         return np.linalg.solve(sigma, slip[..., None]).reshape(len(path), n, m)
 
     def fun_and_grad(u):

@@ -20,7 +20,7 @@ import scipy
 
 from . import __version__
 from .action import ball_target, half_space_target, minimize_rate
-from .expr import ParseError
+from .expr import EvaluationError, ParseError
 from .ldp import bound_check, ldp_experiment, terminal_event
 from .model import (drift_family_limit_gap, probe_ellipticity, probe_lipschitz,
                     probe_modulus)
@@ -358,6 +358,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     except SolveFailure as exc:
         return _fail(str(exc), EXIT_NO_CONVERGENCE)
+    except EvaluationError as exc:    # a user field leaving its domain on the box
+        return _fail(f"field evaluation failed: {exc}", EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

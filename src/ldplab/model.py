@@ -53,6 +53,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("box needs lo < hi componentwise")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"box bounds must be finite, got lo={lo.tolist()}, hi={hi.tolist()}")
         return Box(lo=lo, hi=hi)
 
     @property
@@ -60,8 +62,17 @@ class Box:
         return self.lo.size
 
     def contains(self, x, tol=0.0):
+        """(...,) mask of the points of a (..., dim) batch inside the box
+        widened by ``tol``; False for NaN, and for +-inf as the bounds are
+        finite.  The comparisons are combined one coordinate at a time, which
+        for a small dim is much cheaper than reducing dim-wide rows."""
         x = np.atleast_2d(x)
-        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
+        lo, hi = self.lo - tol, self.hi + tol
+        inside = (x[..., 0] >= lo[0]) & (x[..., 0] <= hi[0])
+        for i in range(1, self.dim):
+            inside &= x[..., i] >= lo[i]
+            inside &= x[..., i] <= hi[i]
+        return inside
 
     def sample(self, rng, n):
         return self.lo + (self.hi - self.lo) * rng.random((n, self.dim))
@@ -280,7 +291,8 @@ def coordinate_function(text, in_dim, n_out, extra=()):
     def func(x, **values):
         env = {f"x{i + 1}": x[:, i] for i in range(in_dim)}
         env.update(values)
-        cols = [np.broadcast_to(np.asarray(e(**env), dtype=float), (x.shape[0],))
+        # the finiteness check is the field's (VectorField.__call__), not each expression's
+        cols = [np.broadcast_to(np.asarray(e.evaluate(env), dtype=float), (x.shape[0],))
                 for e in exprs]
         return np.stack(cols, axis=-1)
 
@@ -305,11 +317,10 @@ class DriftFamily:
     def at(self, eps):
         if self.perturbation is None or eps == 0.0:
             return self.limit
-        pert = self.perturbation(eps)
-        limit = self.limit
+        limit, pert = self.limit, self.perturbation(eps).func
 
         def func(x):
-            return limit(x) + pert(x)
+            return limit.func(x) + pert(x)
 
         return VectorField(in_dim=limit.in_dim, out_dim=limit.out_dim, func=func,
                            name=f"{limit.name}+pert(eps={eps})")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import configparser
 import inspect
+import numbers
 from importlib import resources
 
 import numpy as np
@@ -20,11 +21,10 @@ __all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems",
 # Field registry
 
 def _phi_log(r, beta):
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    pos = r > 0
-    out[pos] = np.log1p(1.0 / r[pos]) ** (-beta)
-    return out
+    """log(1 + 1/r)^(-beta) for r >= 0, beta > 0; at r = 0, 1/r = inf and
+    the value is exactly 0."""
+    with np.errstate(divide="ignore"):
+        return np.log1p(1.0 / np.asarray(r, dtype=float)) ** -beta
 
 
 def _zero(in_dim, out_dim):
@@ -109,6 +109,16 @@ FIELD_REGISTRY = {
 }
 
 
+def _numeric(value):
+    """A number, or a (nested) list or array of numbers: every registry
+    parameter's type."""
+    if isinstance(value, (list, tuple)):
+        return all(_numeric(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def build_field(name, **params):
     if name not in FIELD_REGISTRY:
         raise KeyError(f"unknown registry field {name!r}; known: {sorted(FIELD_REGISTRY)}")
@@ -117,7 +127,14 @@ def build_field(name, **params):
         inspect.signature(builder).bind(**params)
     except TypeError as exc:
         raise ValueError(f"registry field {name!r}: {exc}") from None
-    return builder(**params)
+    for key, value in params.items():
+        if not _numeric(value):
+            raise ValueError(f"registry field {name!r}: {key} must be a number or a list "
+                             f"of numbers, got {value!r}")
+    try:
+        return builder(**params)
+    except (TypeError, ValueError) as exc:   # a float dimension, a ragged matrix
+        raise ValueError(f"registry field {name!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

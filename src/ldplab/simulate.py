@@ -25,6 +25,7 @@ __all__ = [
     "PathSample",
     "EscapeError",
     "Dynamics",
+    "apply_noise",
     "brownian_increments",
     "coarsen_increments",
     "dynamics",
@@ -97,25 +98,39 @@ class Dynamics(NamedTuple):
     """One system at one eps, as callables on (B, dim) batches of states.
 
     The noise enters the trailing ``dim - n_quiet`` coordinates only:
-    ``coefficients(z)`` returns the drift (B, dim) and the noise map
-    (B, noise_dim, noise_dim), which is scaled by sqrt(eps).
+    ``coefficients(z)`` returns the drift (B, dim) and the noise map, which
+    is scaled by sqrt(eps).  The noise map is a (B, noise_dim, noise_dim)
+    batch, or, for a constant sigma, the one (noise_dim, noise_dim) matrix;
+    ``apply_noise`` applies either to a batch of vectors.
     """
 
     x0: np.ndarray
-    coefficients: Callable        # (B, dim) -> ((B, dim), (B, noise_dim, noise_dim))
+    coefficients: Callable        # (B, dim) -> ((B, dim), (B, m, m) or (m, m))
     inside: Callable              # (B, dim) -> (B,) bool: the box paths must stay in
     n_quiet: int                  # leading noise-free coordinates (d1, or 0)
     eps: float
     horizon: float
 
 
+def apply_noise(sigma, v):
+    """sigma v for a (B, m) batch ``v``: sigma is a (B, m, m) batch of noise
+    maps, or one constant (m, m) matrix shared by every row."""
+    if sigma.ndim == 2:
+        return np.dot(v, sigma.T)     # for m = 1 much faster than ``v @ sigma.T``
+    return np.einsum("nij,nj->ni", sigma, v)
+
+
 def dynamics(system, eps, with_singular=True):
     """The ``Dynamics`` of an SdeProblem or a TransformedSde, in either layout.
 
     An SdeProblem lives on its working box; ``with_singular=False`` drops its
-    vanishing term eps*b2.  A TransformedSde lives on theta's interior box
-    (its noise-free block, if any, on the working box) and always carries
-    the transformed singular term.
+    vanishing term eps*b2.  Its fields are called raw (``VectorField.func``),
+    without the public call's shape and finiteness checks: a non-finite
+    drift makes a non-finite step, which the box test marks as escaped.  A
+    sigma declared constant (``lipschitz_const == 0``) is evaluated once, at
+    the start.  A TransformedSde lives on theta's interior box (its
+    noise-free block, if any, on the working box) and always carries the
+    transformed singular term.
     """
     if isinstance(system, SdeProblem):
         return _original_dynamics(system, eps, with_singular)
@@ -123,26 +138,33 @@ def dynamics(system, eps, with_singular=True):
 
 
 def _original_dynamics(problem, eps, with_singular):
-    b2 = problem.singular_drift if with_singular and eps != 0.0 else None
-    sigma = problem.diffusion
-    if problem.layout == "nondegenerate":
-        n_quiet, b1 = 0, problem.drift.at(eps)
+    singular = problem.singular_drift if with_singular and eps != 0.0 else None
+    b2 = None if singular is None else singular.func
+    q = 0 if problem.layout == "nondegenerate" else problem.dims[0]
+    x0 = problem.start.astype(float)
+    sigma = problem.diffusion.func
+    if problem.diffusion.lipschitz_const == 0.0:
+        constant = problem.diffusion(x0[q:])
+
+        def sigma(y):
+            return constant
+
+    if q == 0:
+        b1 = problem.drift.at(eps).func
 
         def coefficients(z):
             out = b1(z)
             return (out if b2 is None else out + eps * b2(z)), sigma(z)
     else:
-        n_quiet = problem.dims[0]
-        bbar, Bbar = problem.bbar.at(eps), problem.Bbar.at(eps)
+        bbar, Bbar = problem.bbar.at(eps).func, problem.Bbar.at(eps).func
 
         def coefficients(z):
-            y = z[:, n_quiet:]
+            y = z[:, q:]
             vy = Bbar(z)
             if b2 is not None:
                 vy = vy + eps * b2(y)
             return np.concatenate([bbar(z), vy], axis=1), sigma(y)
-    return Dynamics(problem.start.astype(float), coefficients, problem.working_box.contains,
-                    n_quiet, eps, problem.horizon_T)
+    return Dynamics(x0, coefficients, problem.working_box.contains, q, eps, problem.horizon_T)
 
 
 def _transformed_dynamics(tsde, eps):
@@ -157,9 +179,11 @@ def euler(dyn, increments, keep_path=False):
     """Explicit Euler-Maruyama for a batch of paths driven by ``increments``.
 
     ``increments`` is (B, n_steps, noise_dim); dt = horizon / n_steps, and
-    the noise is added only when eps != 0.  Every row is stepped, and a row
-    that leaves the box or turns non-finite is marked dead and frozen from
-    then on at its last state inside the box.  Returns (final states
+    the noise sqrt(eps) sigma dW is added only when eps != 0, as one matrix
+    product for a constant sigma and one batched product otherwise.  Every
+    row is stepped, and a row that leaves the box is marked dead and frozen
+    from then on at its last state inside the box; as the box is finite,
+    this also catches a state that turns NaN or infinite.  Returns (final states
     (B, dim), alive mask (B,), path), where path is (B, n_steps + 1, dim) if
     ``keep_path`` and None otherwise.
     """
@@ -180,8 +204,8 @@ def euler(dyn, increments, keep_path=False):
         drift, sigma = dyn.coefficients(z)
         step = z + drift * dt
         if dyn.eps != 0.0:
-            step[:, q:] += sqrt_eps * np.einsum("nij,nj->ni", sigma, increments[:, k])
-        alive &= np.all(np.isfinite(step), axis=1) & dyn.inside(step)
+            step[:, q:] += sqrt_eps * apply_noise(sigma, increments[:, k])
+        alive &= dyn.inside(step)
         z = np.where(alive[:, None], step, z)
         if keep_path:
             path[:, k + 1] = z

@@ -69,6 +69,35 @@ def test_bad_registry_call_exit_2(tmp_path, capsys, call):
     assert "'tanhlog_dini'" in capsys.readouterr().err
 
 
+def _brownian_variant(tmp_path, old, new):
+    path = tmp_path / "variant.ini"
+    text = (files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["validate", "simulate"])
+def test_infinite_box_exit_2(tmp_path, capsys, verb):
+    bad = _brownian_variant(tmp_path, "box_hi = 6.0", "box_hi = inf")
+    assert main([verb, "--problem", bad, "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_field_outside_domain_exit_2(tmp_path, capsys):
+    bad = _brownian_variant(tmp_path, "limit = expr: 0", "limit = expr: log(x1)")
+    assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "log" in err
+
+
+def test_registry_wrong_type_exit_2(tmp_path, capsys):
+    bad = _brownian_variant(tmp_path, "registry: identity_matrix",
+                            "registry: identity_matrix(m=1.0)")
+    assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
+    assert "'identity_matrix'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(tmp_path):
     assert main(["validate", "--problem", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2

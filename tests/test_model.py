@@ -29,6 +29,43 @@ def test_box_rejects_empty():
         Box.of([1.0], [1.0])
 
 
+@pytest.mark.parametrize("lo, hi", [([-1.0], [np.inf]), ([-np.inf], [1.0]),
+                                    ([-1.0, np.nan], [1.0, 1.0])])
+def test_box_rejects_non_finite(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        Box.of(lo, hi)
+
+
+def _contains_by_rows(box, x, tol=0.0):
+    """The row reduction ``Box.contains`` used before it went per coordinate."""
+    x = np.atleast_2d(x)
+    return np.all((x >= box.lo - tol) & (x <= box.hi + tol), axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (200, 1), (200, 2), (8, 25, 2), (40, 3)])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 0.25])
+def test_box_contains_equals_row_reduction(rng, shape, tol):
+    dim = shape[-1]
+    box = Box.of(np.linspace(-1.0, -0.5, dim), np.linspace(1.0, 2.0, dim))
+    x = rng.uniform(-2.0, 3.0, shape)
+    specials = [box.lo, box.hi, box.lo - tol, box.hi + tol,
+                np.nextafter(box.lo - tol, -np.inf), np.nextafter(box.hi + tol, np.inf)]
+    for bad in (np.nan, np.inf, -np.inf):
+        for c in range(dim):
+            row = 0.5 * (box.lo + box.hi)
+            row[c] = bad
+            specials.append(row)
+    rows = x.reshape(-1, dim)
+    if len(rows) >= len(specials):
+        rows[:len(specials)] = specials
+        points = [x]
+    else:
+        points = [x] + specials
+    for pts in points:
+        new, old = box.contains(pts, tol=tol), _contains_by_rows(box, pts, tol=tol)
+        assert new.shape == old.shape and np.array_equal(new, old)
+
+
 # ---------------------------------------------------------------------------
 # Moduli
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ldplab.problems import (build_field, list_problems, load_problem,
+from ldplab.problems import (_phi_log, build_field, list_problems, load_problem,
                              parse_field_spec)
 
 
@@ -24,6 +24,33 @@ def test_registry_field_params():
     f = build_field("linear", matrix=[[2.0]])
     assert np.allclose(f(np.array([[3.0]])), [[6.0]])
     assert f.lipschitz_const == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("identity_matrix", {"m": 1.0}),
+    ("identity_matrix", {"m": 1, "scale": "3"}),
+    ("tanh_iso", {"m": 1, "amplitude": None}),
+    ("linear", {"matrix": [[1.0], [2.0, 3.0]]}),
+    ("zero", {"in_dim": True, "out_dim": 1}),
+], ids=["float-dimension", "string", "none", "ragged", "bool"])
+def test_registry_wrong_type_names_field(name, params):
+    with pytest.raises(ValueError, match=repr(name)):
+        build_field(name, **params)
+
+
+def test_phi_log_equals_masked_formula():
+    """``np.log1p(1/r) ** -beta`` equals the masked formula bit for bit, 0 at
+    r = 0 included."""
+    tiny = np.finfo(float).tiny
+    r = np.concatenate([[0.0, 5e-324, 1e-320, tiny / 2, tiny], np.logspace(-300, 300, 1201),
+                        [1.0, 1e308, np.finfo(float).max]])
+    for beta in (0.25, 1.0, 2.0, 3.7):
+        old = np.zeros_like(r)
+        pos = r > 0
+        with np.errstate(over="ignore"):   # 1/r overflows to inf for subnormal r
+            old[pos] = np.log1p(1.0 / r[pos]) ** (-beta)
+            new = _phi_log(r, beta)
+        assert new.tobytes() == old.tobytes()
 
 
 def test_registry_unknown_name():

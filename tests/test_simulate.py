@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ldplab import zvonkin
-from ldplab.problems import load_problem
+from ldplab.expr import EvaluationError
+from ldplab.model import VectorField
+from ldplab.problems import load_problem, parse_problem_text
 from ldplab.simulate import (EscapeError, brownian_increments, coarsen_increments,
                              conjugacy_check, dynamics, euler, simulate_degenerate,
                              simulate_original, simulate_transformed,
@@ -198,3 +200,60 @@ def test_batch_freezes_escaped_rows(tmp_path):
             with pytest.raises(EscapeError) as info:
                 simulate_original(problem, 1.0, n_steps, seed, path_index=i)
             assert np.array_equal(z[i], info.value.state)
+
+
+_PLANE = """
+[problem]
+dims = 2
+box_lo = -3.0
+box_hi = 3.0
+
+[drift]
+limit = expr: -x1 + 0.5 * tanh(x2); 0.3 * sin(x1)
+
+[diffusion]
+field = registry: {}
+"""
+
+
+@pytest.mark.parametrize("name", ["ou-1d", "hamiltonian-2d", "plane", "plane-scaled"])
+def test_constant_noise_map_equals_per_step_einsum(name):
+    """A sigma declared constant is applied as one matrix, bit for bit the
+    per-row (B, m, m) batch and einsum it replaces."""
+    if name.startswith("plane"):
+        sigma = "identity_matrix(scale=3.0)" if name == "plane-scaled" else "identity_matrix"
+        problem = parse_problem_text(_PLANE.format(sigma))
+    else:
+        problem = load_problem(name)
+    dyn = dynamics(problem, 0.5)
+    q = dyn.n_quiet
+
+    def per_row(z):
+        drift, sigma = dyn.coefficients(z)
+        assert sigma.shape == (problem.noisy_dim,) * 2
+        return drift, problem.diffusion(z[:, q:])
+
+    inc = brownian_increments(7, range(64), 100, problem.noisy_dim, 1.0 / 100)
+    _, alive, path = euler(dyn, inc, keep_path=True)
+    _, alive_ref, path_ref = euler(dyn._replace(coefficients=per_row), inc, keep_path=True)
+    assert np.array_equal(alive, alive_ref)
+    assert path.tobytes() == path_ref.tobytes()
+    if name == "plane-scaled":
+        assert 0 < np.sum(~alive) < len(alive)
+
+
+def test_non_finite_drift_marks_row_escaped():
+    """The stepper calls fields raw: a drift that turns non-finite makes the
+    step non-finite, and the box test marks that row escaped, frozen at its
+    last state.  The public field call still refuses non-finite output."""
+    problem = load_problem("brownian-1d")
+    blowup = VectorField(in_dim=1, out_dim=1, name="blowup",
+                         func=lambda x: np.where(x > 0.5, np.inf, 0.0))
+    problem.drift.limit = blowup
+    inc = np.full((2, 20, 1), 0.05)
+    inc[1] *= -1.0
+    z, alive, path = euler(dynamics(problem, 1.0), inc, keep_path=True)
+    assert alive.tolist() == [False, True]
+    assert 0.5 < z[0, 0] < 0.6 and np.all(np.isfinite(path))
+    with pytest.raises(EvaluationError):
+        blowup(np.array([[1.0]]))
