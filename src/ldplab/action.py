@@ -11,7 +11,9 @@ action is the midpoint rule
 one batched coefficient evaluation over the whole path.  The last unknown is
 the endpoint in original coordinates: it is projected onto the target and,
 for a transformed system, mapped by theta, so the target is met exactly.  A
-noise-free block (the degenerate layout) follows from its ODE by Heun's rule.
+noise-free block (the degenerate layout) follows by Heun's rule on its own
+drift, over the y-path pulled back through theta^{-1} once per objective for a
+transformed system.  A constant sigma is solved once for all rows.
 L-BFGS-B runs from the straight line to the target and from seeded
 perturbations of it, with central-difference gradients batched over the
 perturbed paths.
@@ -73,7 +75,6 @@ class RateResult:
     value: float
     minimizer: ControlPath
     endpoint: np.ndarray          # the minimizing path's end, in the solved system
-    multistart_spread: float
     converged: bool               # L-BFGS-B success of the best restart
     n_intervals: int
     restarts: list                # per restart: {"status", "nit", "objective"}
@@ -221,9 +222,6 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
     def to_system(y):
         return y if tsde is None else theta(tsde.map, y)
 
-    def quiet_drift(x, y):
-        return dyn.coefficients(np.concatenate([x, y], axis=1))[0][:, :q]
-
     def paths(unknowns):
         """(R, n*m) unknowns -> (R, n+1, dim) paths in the system's coordinates."""
         y = unknowns.reshape(-1, n, m).copy()
@@ -231,10 +229,12 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
         y = np.concatenate([np.broadcast_to(dyn.x0[q:], (len(y), 1, m)), y], axis=1)
         if q == 0:
             return y
+        # Heun's rule on the quiet drift, over the y-path pulled back once
+        y_orig = dyn.to_original(y.reshape(-1, m)).reshape(y.shape)
         x = [np.broadcast_to(dyn.x0[:q], (len(y), q))]
         for k in range(n):
-            f = quiet_drift(x[-1], y[:, k])
-            f_next = quiet_drift(x[-1] + dt * f, y[:, k + 1])
+            f = dyn.quiet_drift(np.concatenate([x[-1], y_orig[:, k]], axis=1))
+            f_next = dyn.quiet_drift(np.concatenate([x[-1] + dt * f, y_orig[:, k + 1]], axis=1))
             x.append(x[-1] + 0.5 * dt * (f + f_next))
         return np.concatenate([np.stack(x, axis=1), y], axis=2)
 
@@ -242,7 +242,8 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
         """hdot_k = sigma(m_k)^{-1} (phi'_k - b(m_k)) of (R, n+1, dim) paths."""
         drift, sigma = dyn.coefficients(0.5 * (path[:, 1:] + path[:, :-1]).reshape(-1, dim))
         slip = np.diff(path[:, :, q:], axis=1).reshape(-1, m) / dt - drift[:, q:]
-        # a constant (m, m) sigma broadcasts over the rows
+        if sigma.ndim == 2:           # one constant (m, m) sigma: one solve for every row
+            return np.linalg.solve(sigma, slip.T).T.reshape(len(path), n, m)
         return np.linalg.solve(sigma, slip[..., None]).reshape(len(path), n, m)
 
     def fun_and_grad(u):
@@ -268,9 +269,7 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
     best = min(runs, key=lambda r: r.fun)
     path = paths(best.x[None])
     control = ControlPath(hdot=controls(path)[0], horizon_T=dyn.horizon)
-    values = [float(r.fun) for r in runs]
     return RateResult(value=action(control), minimizer=control, endpoint=path[0, -1],
-                      multistart_spread=max(values) - min(values),
                       converged=bool(best.success), n_intervals=n,
                       restarts=[{"status": int(r.status), "nit": int(r.nit),
                                  "objective": float(r.fun)} for r in runs])

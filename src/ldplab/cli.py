@@ -208,12 +208,14 @@ def verb_rate(args):
                                restarts=args.restarts, seed=args.seed)
     except ValueError as exc:    # a target on a noise-free coordinate, say
         return _fail(str(exc), EXIT_INPUT_ERROR)
+    objectives = [r["objective"] for r in result.restarts]
+    spread = max(objectives) - min(objectives)
     payload = {"value": result.value, "endpoint": result.endpoint.tolist(),
-               "multistart_spread": result.multistart_spread,
+               "multistart_spread": spread,
                "converged": result.converged, "n_intervals": result.n_intervals,
                "restarts": result.restarts}
     _write_json(args.out, "rate.json", payload)
-    print(f"rate value {result.value:.6f} (spread {result.multistart_spread:.2e})")
+    print(f"rate value {result.value:.6f} (spread {spread:.2e})")
     if not result.converged:
         return _fail("the best restart did not converge; see restarts in rate.json",
                      EXIT_NO_CONVERGENCE)

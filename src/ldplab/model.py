@@ -291,10 +291,12 @@ def coordinate_function(text, in_dim, n_out, extra=()):
     def func(x, **values):
         env = {f"x{i + 1}": x[:, i] for i in range(in_dim)}
         env.update(values)
-        # the finiteness check is the field's (VectorField.__call__), not each expression's
-        cols = [np.broadcast_to(np.asarray(e.evaluate(env), dtype=float), (x.shape[0],))
-                for e in exprs]
-        return np.stack(cols, axis=-1)
+        # the finiteness check is the field's (VectorField.__call__), not each expression's;
+        # a constant coordinate broadcasts into its column
+        out = np.empty((x.shape[0], len(exprs)))
+        for j, e in enumerate(exprs):
+            out[:, j] = e.evaluate(env)
+        return out
 
     return func
 

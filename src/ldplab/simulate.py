@@ -101,7 +101,10 @@ class Dynamics(NamedTuple):
     ``coefficients(z)`` returns the drift (B, dim) and the noise map, which
     is scaled by sqrt(eps).  The noise map is a (B, noise_dim, noise_dim)
     batch, or, for a constant sigma, the one (noise_dim, noise_dim) matrix;
-    ``apply_noise`` applies either to a batch of vectors.
+    ``apply_noise`` applies either to a batch of vectors.  The noise-free
+    block's drift is also given on its own, ``quiet_drift``, over states
+    whose noisy part is in original coordinates, where ``to_original`` takes
+    it (theta^{-1} for a transformed system, the identity otherwise).
     """
 
     x0: np.ndarray
@@ -110,14 +113,19 @@ class Dynamics(NamedTuple):
     n_quiet: int                  # leading noise-free coordinates (d1, or 0)
     eps: float
     horizon: float
+    to_original: Callable         # (B, m) noisy states -> (B, m) in original coordinates
+    quiet_drift: Callable | None  # (B, dim) states (x, original y) -> (B, n_quiet); None if 0
 
 
 def apply_noise(sigma, v):
     """sigma v for a (B, m) batch ``v``: sigma is a (B, m, m) batch of noise
-    maps, or one constant (m, m) matrix shared by every row."""
-    if sigma.ndim == 2:
-        return np.dot(v, sigma.T)     # for m = 1 much faster than ``v @ sigma.T``
-    return np.einsum("nij,nj->ni", sigma, v)
+    maps, or one constant (m, m) matrix shared by every row.  A constant
+    1 x 1 sigma is a scalar product, exactly the matrix product."""
+    if sigma.ndim == 3:
+        return np.einsum("nij,nj->ni", sigma, v)
+    if len(sigma) == 1:
+        return sigma[0, 0] * v
+    return np.dot(v, sigma.T)         # for small m much faster than ``v @ sigma.T``
 
 
 def dynamics(system, eps, with_singular=True):
@@ -150,21 +158,26 @@ def _original_dynamics(problem, eps, with_singular):
             return constant
 
     if q == 0:
-        b1 = problem.drift.at(eps).func
+        b1, quiet_drift = problem.drift.at(eps).func, None
 
         def coefficients(z):
             out = b1(z)
             return (out if b2 is None else out + eps * b2(z)), sigma(z)
     else:
-        bbar, Bbar = problem.bbar.at(eps).func, problem.Bbar.at(eps).func
+        quiet_drift, Bbar = problem.bbar.at(eps).func, problem.Bbar.at(eps).func
 
         def coefficients(z):
             y = z[:, q:]
             vy = Bbar(z)
             if b2 is not None:
                 vy = vy + eps * b2(y)
-            return np.concatenate([bbar(z), vy], axis=1), sigma(y)
-    return Dynamics(x0, coefficients, problem.working_box.contains, q, eps, problem.horizon_T)
+            return np.concatenate([quiet_drift(z), vy], axis=1), sigma(y)
+    return Dynamics(x0, coefficients, problem.working_box.contains, q, eps, problem.horizon_T,
+                    _identity, quiet_drift)
+
+
+def _identity(y):
+    return y
 
 
 def _transformed_dynamics(tsde, eps):
@@ -172,7 +185,7 @@ def _transformed_dynamics(tsde, eps):
     box = Box(lo=np.concatenate([base.working_box.lo[:q], ibox.lo]),
               hi=np.concatenate([base.working_box.hi[:q], ibox.hi]))
     return Dynamics(tsde.start().astype(float), tsde.coefficients(eps), box.contains, q, eps,
-                    base.horizon_T)
+                    base.horizon_T, tsde.to_original, tsde.quiet_drift(eps) if q else None)
 
 
 def euler(dyn, increments, keep_path=False):

@@ -419,12 +419,22 @@ class TransformedSde:
         x0, q = self.base.start, self.n_quiet
         return np.concatenate([x0[:q], theta(self.map, x0[q:])])
 
+    def to_original(self, yt):
+        """theta^{-1} of a (B, m) batch of transformed noisy states."""
+        return theta_inv(self.map, yt)
+
     def pullback(self, yt):
         """(y, grad theta(y), grad theta(y) sigma(y)) at y = theta^{-1}(yt),
         for a (B, m) batch of transformed noisy states."""
-        y = theta_inv(self.map, yt)
+        y = self.to_original(yt)
         grad = self.map.u.jacobian(y) + np.eye(self.map.u.m)
         return y, grad, grad @ self.base.diffusion(y)
+
+    def quiet_drift(self, eps):
+        """The noise-free block's drift at ``eps``, on (B, dim) states (x, y)
+        whose noisy part is already pulled back (``to_original``): theta
+        leaves this block's drift as it is."""
+        return self.base.bbar.at(eps)
 
     def coefficients(self, eps):
         """The transformed coefficients at ``eps`` as one callable on (B, dim)
@@ -433,7 +443,7 @@ class TransformedSde:
         if q == 0:
             noisy_drift = self.base.drift.at(eps)
         else:
-            quiet_drift, noisy_drift = self.base.bbar.at(eps), self.base.Bbar.at(eps)
+            quiet_drift, noisy_drift = self.quiet_drift(eps), self.base.Bbar.at(eps)
 
         def func(z):
             y, grad, sigma = self.pullback(z[:, q:])

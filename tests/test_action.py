@@ -1,10 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from ldplab import zvonkin
 from ldplab.action import (ControlPath, action, ball_target, half_space_target,
                            minimize_rate, rate_via_transform, skeleton)
 from ldplab.problems import load_problem
 from ldplab.zvonkin import find_lambda0, theta, transform
+
+action_module = importlib.import_module("ldplab.action")   # ``ldplab.action`` is also a function
 
 
 def test_action_of_constant_control():
@@ -117,6 +122,42 @@ def test_rate_via_transform_degenerate(hamiltonian_map):
     through = rate_via_transform(problem, zmap, target, n_intervals=16, restarts=2, seed=0)
     assert through.converged
     assert through.value == pytest.approx(direct.value, rel=0.02)
+
+
+def test_transformed_degenerate_solve_inverts_theta_twice(hamiltonian_map, monkeypatch):
+    """Each objective of the transformed degenerate solve pulls its y-paths
+    back through theta^-1 once for Heun's rule and once for the midpoint
+    coefficients, and so does the final evaluation of the best path."""
+    problem, zmap = hamiltonian_map
+    calls, objectives = [], []
+    inverse, minimize = zvonkin.theta_inv, action_module.minimize
+
+    def counting_inverse(*args, **kwargs):
+        calls.append(1)
+        return inverse(*args, **kwargs)
+
+    def counting_minimize(fun, *args, **kwargs):
+        def counted(u):
+            objectives.append(1)
+            return fun(u)
+        return minimize(counted, *args, **kwargs)
+
+    monkeypatch.setattr(zvonkin, "theta_inv", counting_inverse)
+    monkeypatch.setattr(action_module, "minimize", counting_minimize)
+    target = half_space_target([1.0], 0.5, coords=(1,))
+    rate_via_transform(problem, zmap, target, n_intervals=4, restarts=1, seed=0)
+    assert len(objectives) > 0
+    assert len(calls) == 2 * (len(objectives) + 1)
+
+
+@pytest.mark.parametrize("name, target, value", [
+    ("hamiltonian-2d", half_space_target([1.0], 0.5, coords=(1,)), 0.1373923706583577),
+    ("ou-1d", ball_target([1.0]), 1.1560459491256778),
+])
+def test_minimize_rate_recorded_values(name, target, value):
+    """Small direct solves, degenerate and not, reproduce recorded values."""
+    result = minimize_rate(load_problem(name), target, n_intervals=8, restarts=1, seed=0)
+    assert result.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_skeleton_degenerate_transformed_conjugate(hamiltonian_map):

@@ -178,6 +178,8 @@ def test_rate_verb_records_restarts(tmp_path):
         assert sorted(record) == ["nit", "objective", "status"]
         assert isinstance(record["status"], int) and isinstance(record["nit"], int)
         assert record["objective"] >= payload["value"]
+    objectives = [record["objective"] for record in restarts]
+    assert payload["multistart_spread"] == max(objectives) - min(objectives)
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ldplab.model import (Box, Modulus, dini_classify,
+from ldplab.expr import parse_expression
+from ldplab.model import (Box, Modulus, coordinate_function, dini_classify,
                           drift_family_limit_gap, parse_field, probe_ellipticity,
                           probe_lipschitz, probe_modulus)
 from ldplab.problems import build_field, load_problem
@@ -124,6 +125,37 @@ def test_field_shape_validation():
     f = parse_field("x1", 1, 1)
     with pytest.raises(ValueError):
         f(np.zeros((3, 2)))
+
+
+def _stacked_columns(text, in_dim, x, extra=(), **values):
+    """The former assembly of ``coordinate_function``: each expression's
+    value broadcast to a column, then the columns stacked."""
+    names = [f"x{i + 1}" for i in range(in_dim)] + list(extra)
+    env = {f"x{i + 1}": x[:, i] for i in range(in_dim)}
+    env.update(values)
+    cols = [np.broadcast_to(np.asarray(parse_expression(p.strip(), names).evaluate(env),
+                                       dtype=float), (x.shape[0],))
+            for p in text.split(";")]
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("text, in_dim, extra, values", [
+    ("x1; 2", 1, (), {}),
+    ("x2; -0.1 * tanh(x2); 3", 2, (), {}),
+    ("1; 0; 0; 1", 2, (), {}),
+    ("eps * tanh(x1)", 1, ("eps",), {"eps": 0.25}),
+    ("eps; eps * x1", 1, ("eps",), {"eps": 0.5}),
+])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_coordinate_function_equals_stacked_columns(rng, text, in_dim, extra, values, rows):
+    """Columns written in place give the same float64 (n, n_out) array as
+    stacking broadcast columns, constant coordinates and 1-row inputs too."""
+    x = rng.uniform(-2.0, 2.0, (rows, in_dim))
+    n_out = text.count(";") + 1
+    got = coordinate_function(text, in_dim, n_out, extra)(x, **values)
+    want = _stacked_columns(text, in_dim, x, extra, **values)
+    assert got.dtype == np.float64 and got.shape == (rows, n_out)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_probe_lipschitz_linear():

@@ -7,9 +7,9 @@ from ldplab import zvonkin
 from ldplab.expr import EvaluationError
 from ldplab.model import VectorField
 from ldplab.problems import load_problem, parse_problem_text
-from ldplab.simulate import (EscapeError, brownian_increments, coarsen_increments,
-                             conjugacy_check, dynamics, euler, simulate_degenerate,
-                             simulate_original, simulate_transformed,
+from ldplab.simulate import (EscapeError, apply_noise, brownian_increments,
+                             coarsen_increments, conjugacy_check, dynamics, euler,
+                             simulate_degenerate, simulate_original, simulate_transformed,
                              simulate_transformed_degenerate)
 from ldplab.zvonkin import find_lambda0, transform
 
@@ -216,7 +216,9 @@ field = registry: {}
 """
 
 
-@pytest.mark.parametrize("name", ["ou-1d", "hamiltonian-2d", "plane", "plane-scaled"])
+@pytest.mark.parametrize("name", ["ou-1d", "hamiltonian-2d", "plane", "plane-scaled",
+                                  "brownian-1d", "dini-tanhlog-1d", "free-endpoint",
+                                  "holder-1d"])
 def test_constant_noise_map_equals_per_step_einsum(name):
     """A sigma declared constant is applied as one matrix, bit for bit the
     per-row (B, m, m) batch and einsum it replaces."""
@@ -240,6 +242,16 @@ def test_constant_noise_map_equals_per_step_einsum(name):
     assert path.tobytes() == path_ref.tobytes()
     if name == "plane-scaled":
         assert 0 < np.sum(~alive) < len(alive)
+
+
+@pytest.mark.parametrize("sigma", [np.eye(1), 3.0 * np.eye(1), 0.3 * np.eye(1),
+                                   np.array([[1.0, 0.2], [0.0, 1.0]])])
+def test_apply_noise_equals_matrix_product(sigma, rng):
+    """A 1 x 1 sigma skips the matrix product and still returns it exactly."""
+    v = rng.standard_normal((257, len(sigma)))
+    out = apply_noise(sigma, v)
+    assert out.shape == v.shape
+    assert out.tobytes() == np.dot(v, sigma.T).tobytes()
 
 
 def test_non_finite_drift_marks_row_escaped():
