@@ -13,7 +13,8 @@ the endpoint in original coordinates: it is projected onto the target and,
 for a transformed system, mapped by theta, so the target is met exactly.  A
 noise-free block (the degenerate layout) follows by Heun's rule on its own
 drift, over the y-path pulled back through theta^{-1} once per objective for a
-transformed system.  A constant sigma is solved once for all rows.
+transformed system.  A constant sigma is solved once for all rows, and a
+per-row 1 x 1 sigma is a division that refuses a zero sigma as the solve does.
 L-BFGS-B runs from the straight line to the target and from seeded
 perturbations of it, with central-difference gradients batched over the
 perturbed paths.
@@ -244,6 +245,10 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
         slip = np.diff(path[:, :, q:], axis=1).reshape(-1, m) / dt - drift[:, q:]
         if sigma.ndim == 2:           # one constant (m, m) sigma: one solve for every row
             return np.linalg.solve(sigma, slip.T).T.reshape(len(path), n, m)
+        if m == 1:                    # a 1 x 1 sigma per row: the division that LAPACK's
+            if not sigma.all():       # per-row solve performs, and its refusal of a zero
+                raise np.linalg.LinAlgError("Singular matrix")
+            return (slip / sigma[:, 0]).reshape(len(path), n, m)
         return np.linalg.solve(sigma, slip[..., None]).reshape(len(path), n, m)
 
     def fun_and_grad(u):

@@ -135,7 +135,9 @@ def verb_zvonkin(args):
     zmap = res.map
     save_map(zmap, os.path.join(args.out, "map.json"),
              os.path.join(args.out, "map_values.csv"))
-    print(zmap.certificate_line())
+    a, b, c = zmap.norms
+    print(f"lambda={zmap.lam:g} norms=({a:.6g},{b:.6g},{c:.6g}) "
+          f"sum={zmap.norm_sum:.6g} certified={str(zmap.certified).lower()}")
     _write_json(args.out, "certificate.json", {
         "lambda0": res.lambda0, "norms": list(zmap.norms), "norm_sum": zmap.norm_sum,
         "residual": zmap.residual, "certified": zmap.certified,
@@ -247,7 +249,8 @@ def verb_ldp(args):
     with open(os.path.join(args.out, "ladder.csv"), "w", encoding="utf-8") as fh:
         fh.write(est.as_csv())
     payload = {"slope": est.slope, "stderr": est.slope_stderr,
-               "points_used": est.per_eps_points,
+               "points_used": [(1.0 / pt.eps, float(np.log(pt.p_hat))) for pt in est.ladder
+                               if 0.0 < pt.p_hat < 1.0],
                "with_singular": not args.no_singular,
                "ladder": [{"eps": pt.eps, "hits": pt.hits, "escapes": pt.escapes,
                            "noise_s": pt.noise_s, "step_s": pt.step_s} for pt in est.ladder]}

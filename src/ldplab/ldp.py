@@ -80,7 +80,6 @@ class LdpEstimate:
     ladder: list
     slope: float
     slope_stderr: float
-    per_eps_points: list           # (1/eps, log p_hat) pairs used in the fit
 
     def as_csv(self):
         lines = ["eps,n_paths,hits,p_hat,ci_lo,ci_hi,escapes"]
@@ -225,10 +224,7 @@ def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
     if slope > 0 and all(pt.p_hat < 1.0 for pt in ladder):
         warnings.warn("fitted slope is positive while probabilities decay",
                       stacklevel=2)
-    used = [(1.0 / pt.eps, float(np.log(pt.p_hat))) for pt in ladder
-            if 0.0 < pt.p_hat < 1.0]
-    return LdpEstimate(ladder=ladder, slope=slope, slope_stderr=stderr,
-                       per_eps_points=used)
+    return LdpEstimate(ladder=ladder, slope=slope, slope_stderr=stderr)
 
 
 def bound_check(estimate, rate, side):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,11 @@ class GridFunction:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
+        if len(self.axes) == 1 and self.m != 1:
+            raise ValueError("a grid function on a 1-D grid has one component")
         self._interp = RegularGridInterpolator(self.axes, self.values, method="linear",
                                                bounds_error=True)
-        self._jac_interp = None
+        self._jac = None
 
     @property
     def m(self):
@@ -82,25 +85,36 @@ class GridFunction:
         return [ax[1] - ax[0] for ax in self.axes]
 
     def __call__(self, x):
+        """Values at a point (d,) or a batch (B, d) of points in the box; a
+        point outside it raises ValueError."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         if len(self.axes) == 1:
-            out = self._interp1d(pts, self.values)
+            xq, ax = pts[:, 0], self.axes[0]
+            if xq.min() < ax[0] - 1e-9 or xq.max() > ax[-1] + 1e-9:
+                raise ValueError("interpolation point outside the grid box")
+            out = self.clamped(pts)
         else:
             out = self._interp(pts)
         return out[0] if single else out
 
-    def _interp1d(self, pts, values):
-        """np.interp fast path for 1-D grids (the interpolator overhead
-        dominates the per-step cost of simulation and optimization)."""
-        ax = self.axes[0]
-        xq = pts[:, 0]
-        if xq.min() < ax[0] - 1e-9 or xq.max() > ax[-1] + 1e-9:
-            raise ValueError("interpolation point outside the grid box")
-        flat = values.reshape(len(ax), -1)
-        return np.stack([np.interp(xq, ax, flat[:, c])
-                         for c in range(flat.shape[1])], axis=-1)
+    def clamped(self, pts):
+        """Values at a (B, d) batch, each point clamped to the box, without
+        the checks of ``__call__``: for callers that keep their points in the
+        box already, and pay this call many times per step.  A 1-D grid is
+        read by np.interp, which clamps at the ends by itself."""
+        if len(self.axes) == 1:
+            return np.interp(pts, self.axes[0], self.values[:, 0])
+        return self._interp(np.clip(pts, self.box.lo, self.box.hi))
+
+    def _jacobian_function(self):
+        """The Jacobian's nodes as a GridFunction of m*d columns, built once."""
+        if self._jac is None:
+            jac = self.jacobian_grid()
+            self._jac = GridFunction(box=self.box, axes=self.axes,
+                                     values=jac.reshape(self.grid_shape + (-1,)))
+        return self._jac
 
     def jacobian_grid(self):
         """J[..., c, i] = d u_c / d x_i at the nodes (finite differences)."""
@@ -124,21 +138,11 @@ class GridFunction:
                     hess[..., c, i, j] = _axis_gradient(jac[..., c, i], h, j)
         return hess
 
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if len(self.axes) == 1:
-            if self._jac_interp is None:
-                self._jac_interp = self.jacobian_grid()
-            out = self._interp1d(pts, self._jac_interp)
-            out = out.reshape(pts.shape[0], self.m, 1)
-        else:
-            if self._jac_interp is None:
-                self._jac_interp = RegularGridInterpolator(
-                    self.axes, self.jacobian_grid(), method="linear", bounds_error=True)
-            out = self._jac_interp(pts)
-        return out[0] if single else out
+    def jacobian(self, pts):
+        """d u_c / d x_i, interpolated from ``jacobian_grid``, at a (B, d)
+        batch: (B, m, d).  Points are clamped to the box and not checked, as
+        ``clamped`` reads values."""
+        return self._jacobian_function().clamped(pts).reshape(len(pts), self.m, len(self.axes))
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +255,6 @@ class ZvonkinMap:
     def interior_box(self):
         return self.u.box.shrink(MARGIN)
 
-    def certificate_line(self):
-        a, b, c = self.norms
-        return (f"lambda={self.lam:g} norms=({a:.6g},{b:.6g},{c:.6g}) "
-                f"sum={self.norm_sum:.6g} certified={str(self.certified).lower()}")
-
 
 def _interior_mask(shape):
     mask = np.ones(shape, dtype=bool)
@@ -366,19 +365,30 @@ def theta(zmap, x):
 
 
 def theta_inv(zmap, y, record_steps=False):
-    """Inverse by the contraction x <- y - u(x); geometric rate <= 1/2."""
+    """theta^{-1} of a point (m,) or a batch (B, m), by the contraction
+    x <- y - u(x), whose rate is at most 1/2 for a certified map.
+
+    Each iteration tests the whole batch against the map's box widened by
+    1e-12 (by its least and greatest coordinates, so a NaN fails the test),
+    reads u at the iterate clamped to the box (``GridFunction.clamped``) and
+    takes the largest Euclidean step of any row; it stops once that step is
+    below INVERSE_TOL.  An iterate outside the box means that y lies outside
+    theta(box), and raises SolveFailure, as does a loop that does not
+    converge.  With ``record_steps`` the step sizes are returned as well.
+    """
     if not zmap.certified:
         raise SolveFailure("theta_inv requires a certified map")
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
-    x = np.atleast_2d(y).copy()
-    steps = []
+    y = np.atleast_2d(y)
+    lo, hi = zmap.box.lo - 1e-12, zmap.box.hi + 1e-12
+    x, steps = y, []
     for _ in range(INVERSE_MAX_ITERS):
-        inside = zmap.box.contains(x, tol=1e-12)
-        if not np.all(inside):
+        if not ((x.min(axis=0) >= lo).all() and (x.max(axis=0) <= hi).all()):
             raise SolveFailure("inverse iteration left the box: target outside the image")
-        x_new = np.atleast_2d(y) - zmap.u(np.clip(x, zmap.box.lo, zmap.box.hi))
-        step = float(np.max(np.linalg.norm(x_new - x, axis=-1)))
+        x_new = y - zmap.u.clamped(x)
+        d = x_new - x
+        step = math.sqrt((d * d).sum(axis=1).max())   # = max of the rows' norms
         steps.append(step)
         x = x_new
         if step < INVERSE_TOL:
@@ -450,7 +460,7 @@ class TransformedSde:
             joint = np.concatenate([z[:, :q], y], axis=1) if q else y
             drift = np.einsum("nij,nj->ni", grad, noisy_drift(joint))
             if eps != 0.0:
-                drift = drift + eps * zmap.lam * zmap.u(y)
+                drift = drift + eps * zmap.lam * zmap.u.clamped(y)
             if q:
                 drift = np.concatenate([quiet_drift(joint), drift], axis=1)
             return drift, sigma

@@ -6,7 +6,7 @@ import pytest
 from ldplab import zvonkin
 from ldplab.action import (ControlPath, action, ball_target, half_space_target,
                            minimize_rate, rate_via_transform, skeleton)
-from ldplab.problems import load_problem
+from ldplab.problems import load_problem, parse_problem_text
 from ldplab.zvonkin import find_lambda0, theta, transform
 
 action_module = importlib.import_module("ldplab.action")   # ``ldplab.action`` is also a function
@@ -101,6 +101,33 @@ def test_rate_via_transform_free_case(dini_problem, dini_map):
     through = rate_via_transform(dini_problem, dini_map, ball_target([1.0]),
                                  n_intervals=16, restarts=3, seed=0)
     assert through.value == pytest.approx(direct.value, rel=0.02)
+
+
+def test_rate_via_transform_recorded_value(dini_problem, dini_map):
+    """A small solve through theta, whose per-row 1 x 1 sigma is a division,
+    reproduces the value recorded when it was LAPACK's per-row solve."""
+    result = rate_via_transform(dini_problem, dini_map, ball_target([1.0]), n_intervals=8,
+                                restarts=1, seed=0)
+    assert result.value == pytest.approx(0.49991887501063026, rel=1e-12, abs=0.0)
+
+
+def test_minimize_rate_refuses_a_zero_one_by_one_sigma():
+    """A per-row 1 x 1 sigma that vanishes is refused as LAPACK's solve
+    refuses it, instead of dividing by zero."""
+    problem = parse_problem_text("""
+[problem]
+dims = 1
+box_lo = -3.0
+box_hi = 3.0
+
+[drift]
+limit = expr: -x1
+
+[diffusion]
+field = expr: 0 * x1
+""")
+    with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        minimize_rate(problem, ball_target([1.0]), n_intervals=4, restarts=1)
 
 
 def test_action_invariant_under_transform_pairing():

@@ -103,10 +103,12 @@ def test_missing_file_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_zvonkin_writes_certificate(tmp_path):
+def test_zvonkin_writes_certificate(tmp_path, capsys):
     code = main(["zvonkin", "--problem", "dini-tanhlog-1d", "--out", str(tmp_path),
                  "--resolution", "129"])
     assert code == 0
+    assert capsys.readouterr().out == \
+        "lambda=16 norms=(0.0625,0.100335,0.258134) sum=0.420969 certified=true\n"
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["certified"]
     assert cert["resolution"] == 129
@@ -204,6 +206,10 @@ def test_ldp_verb_small_ladder(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "ldp.json").read_text())
     assert payload["slope"] < 0
+    assert payload["points_used"] == [[1.0, -1.2310014767138553], [2.0, -1.3903023825174294],
+                                      [4.0, -1.810942288644829]]
+    assert [np.exp(y) for _, y in payload["points_used"]] == pytest.approx(
+        [pt["hits"] / 2000 for pt in payload["ladder"]], rel=1e-15)
     (check,) = payload["bound_checks"]
     assert check["margin"] == pytest.approx(2 * payload["stderr"] + 0.0125)
     assert check["rate"] == 0.125 and isinstance(check["passed"], bool)

@@ -5,8 +5,8 @@ import pytest
 
 from ldplab.model import Box, DriftFamily, Modulus, SdeProblem, VectorField
 from ldplab.problems import build_field, load_problem
-from ldplab.zvonkin import (SolveFailure, find_lambda0, save_map, solve_resolvent, theta,
-                            theta_inv, transform)
+from ldplab.zvonkin import (GridFunction, SolveFailure, ZvonkinMap, find_lambda0, save_map,
+                            solve_resolvent, theta, theta_inv, transform)
 
 
 def _problem_with_singular(func, bound, name="synthetic"):
@@ -115,3 +115,67 @@ def test_resolvent_rejects_bad_lambda():
 
 def test_interior_residual_small(dini_map):
     assert dini_map.residual <= 1e-8
+
+
+def _reference_theta_inv(zmap, y):
+    """The contraction written with the public checked calls: a per-row box
+    test, a clip onto the box, ``GridFunction.__call__`` and the largest row
+    norm as the step size."""
+    x, steps = y.copy(), []
+    for _ in range(200):
+        assert np.all(zmap.box.contains(x, tol=1e-12))
+        x_new = y - zmap.u(np.clip(x, zmap.box.lo, zmap.box.hi))
+        steps.append(float(np.max(np.linalg.norm(x_new - x, axis=-1))))
+        x = x_new
+        if steps[-1] < 1e-12:
+            return x, steps
+    raise AssertionError("reference contraction did not converge")
+
+
+def test_theta_inv_matches_reference_contraction(dini_map, rng):
+    """The same iterates and step sizes, bit for bit, on a batch that covers
+    the whole box, its edges included."""
+    pts = np.concatenate([dini_map.box.sample(rng, 2000),
+                          dini_map.box.lo[None], dini_map.box.hi[None]])
+    y = theta(dini_map, pts)
+    y = y[dini_map.box.contains(y)]
+    x, steps = theta_inv(dini_map, y, record_steps=True)
+    x_ref, steps_ref = _reference_theta_inv(dini_map, y)
+    assert np.array_equal(x, x_ref)
+    assert steps == steps_ref
+    single, single_steps = theta_inv(dini_map, y[0], record_steps=True)
+    assert single.shape == (1,)
+    assert np.array_equal(single, x_ref[0])
+    assert single_steps == _reference_theta_inv(dini_map, y[:1])[1]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["outside-image", "nan"])
+def test_theta_inv_refuses_points_it_cannot_invert(dini_map, bad):
+    y = np.zeros((3, 1))
+    y[1] = dini_map.box.hi + 1.0 if bad == np.inf else bad
+    with pytest.raises(SolveFailure, match="left the box"):
+        theta_inv(dini_map, y)
+
+
+def test_theta_inv_round_trip_on_a_2d_grid(rng):
+    """The N-D branch: a hand-built smooth u on a 2-D grid inverts to 1e-10."""
+    box = Box.cube(2, 1.0)
+    axes = [np.linspace(-1.0, 1.0, 65)] * 2
+    gx, gy = np.meshgrid(*axes, indexing="ij")
+    values = 0.05 * np.stack([np.sin(gx + 0.5 * gy), np.cos(gx * gy)], axis=-1)
+    zmap = ZvonkinMap(lam=1.0, u=GridFunction(box=box, axes=axes, values=values),
+                      norms=(0.05, 0.1, 0.1), residual=0.0, certified=True)
+    pts = zmap.interior_box().sample(rng, 200)
+    back, steps = theta_inv(zmap, theta(zmap, pts), record_steps=True)
+    assert np.max(np.abs(back - pts)) <= 1e-10
+    assert steps[-1] < 1e-12
+    corner = zmap.u(np.array([[1.0, -1.0]]))
+    assert np.array_equal(zmap.u.clamped(np.array([[1.5, -2.0]])), corner)
+    assert np.array_equal(zmap.u.jacobian(np.array([[1.5, -2.0]])),
+                          zmap.u.jacobian_grid()[None, -1, 0])
+
+
+def test_one_dimensional_grid_function_has_one_component():
+    axis = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(ValueError, match="one component"):
+        GridFunction(box=Box.cube(1, 1.0), axes=[axis], values=np.zeros((17, 2)))
