@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .simulate import apply_noise, dynamics
 from .zvonkin import theta, transform
@@ -207,6 +206,14 @@ _SPREAD = 0.1         # standard deviation of the restarts' perturbations
 _INSIDE = 1e-3        # the straight line overshoots the target's nearest point
                       # by this fraction, so it starts off the projection's kink
 _OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-8}
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported when first called, so that
+    importing ldplab does not load SciPy's optimizers.  ``minimize_rate``
+    looks this name up at call time, so it can be wrapped or patched here."""
+    import scipy.optimize
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None):

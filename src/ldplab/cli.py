@@ -286,6 +286,14 @@ def verb_verify(args):
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+def _seed(text):
+    """An integer in [0, 2**64), the range of a Philox key word."""
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seeds are integers in [0, 2**64), got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ldplab",
@@ -298,7 +306,7 @@ def _build_parser():
             p.add_argument("--problem", required=True,
                            help=f"bundled name ({', '.join(list_problems())}) or file path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=2024)
+        p.add_argument("--seed", type=_seed, default=2024)
 
     p = sub.add_parser("validate", help="run regularity and assumption probes")
     common(p)

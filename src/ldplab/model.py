@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .expr import EvaluationError, Expression, ParseError, parse_expression
 
@@ -201,6 +200,7 @@ def dini_classify(m, lower_cutoffs=None):
     cutoffs = np.asarray(lower_cutoffs, dtype=float)
     if np.any(np.diff(cutoffs) >= 0) or np.any(cutoffs <= 0) or np.any(cutoffs >= 1):
         raise ValueError("cutoffs must decrease toward 0 within (0,1)")
+    from scipy.integrate import quad
 
     def integrand(s):
         return float(m.phi(s)) / s

@@ -61,18 +61,25 @@ def brownian_increments(seed, paths, n_steps, dim, dt):
     sequence of path indices), as a (len(paths), n_steps, dim) batch.
 
     Path i's row is the standard-normal stream of Philox keyed by
-    (seed, i), a pure function of (seed, i).  One generator is re-keyed and
-    reset (counter 0, empty buffer) for each path instead of being rebuilt.
+    (seed, i), a pure function of (seed, i); both key words must lie in
+    [0, 2**64), else ``ValueError``.  One generator is re-keyed and reset
+    for each path instead of being rebuilt: its state is set from a dict of
+    plain integers (key (seed, i), counter 0, empty buffer), which the
+    setter reads faster than the NumPy arrays its getter returns.
     The batch is a view of time-major storage, so that the stepper reads the
     increments of one step, ``batch[:, k]``, from contiguous memory; rows are
     drawn in blocks of ``_NOISE_BLOCK`` paths and transposed into place.
     """
+    for word in (seed, min(paths, default=0), max(paths, default=0)):
+        if not 0 <= word < 2 ** 64:
+            raise ValueError(f"seed and path indices must lie in [0, 2**64), got {word}")
     out = np.empty((n_steps, len(paths), dim))
     block = np.empty((min(_NOISE_BLOCK, len(paths)), n_steps, dim))
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
+    key = [seed, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for lo in range(0, len(paths), _NOISE_BLOCK):
         part = paths[lo:lo + _NOISE_BLOCK]
         rows = block[:len(part)]

@@ -13,7 +13,6 @@ import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .action import (ball_target, half_space_target, minimize_rate, rate_via_transform,
                      skeleton, ControlPath)
@@ -261,6 +260,8 @@ def gaussian_reference_slope(n_paths=_N_PATHS):
     the Gaussian tail makes this about -0.600 rather than the eps -> 0 limit
     -1/2.
     """
+    from scipy.special import ndtr
+
     ladder = [(eps, float(ndtr(-1.0 / np.sqrt(eps))), n_paths) for eps in _GAUSS_LADDER]
     return fit_slope(ladder)[0]
 

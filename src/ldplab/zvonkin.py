@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from .model import Box
 
@@ -69,6 +66,8 @@ class GridFunction:
             raise ValueError("grid values must be finite")
         if len(self.axes) == 1 and self.m != 1:
             raise ValueError("a grid function on a 1-D grid has one component")
+        from scipy.interpolate import RegularGridInterpolator
+
         self._interp = RegularGridInterpolator(self.axes, self.values, method="linear",
                                                bounds_error=True)
         self._jac = None
@@ -202,6 +201,8 @@ def _assemble_operator(axes, a_nodes, lam):
     rows.append(base)
     cols.append(base)
     data.append(diag)
+    from scipy.sparse import csr_matrix
+
     A = csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n_pts, n_pts))
     A.sum_duplicates()
@@ -300,6 +301,8 @@ def solve_resolvent(problem, lam, resolution=257):
     b2 = problem.singular_or_zero()(nodes)
 
     A = _assemble_operator(axes, a_nodes, lam)
+    from scipy.sparse.linalg import splu
+
     lu = splu(A.tocsc())
 
     u = np.zeros(grid_shape + (m,))

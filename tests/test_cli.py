@@ -1,6 +1,9 @@
 import json
+import os
 import platform
 import shlex
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
+import ldplab
 from ldplab.cli import main
 from ldplab.problems import load_problem
 from ldplab.simulate import simulate_original
@@ -160,6 +164,17 @@ def test_workers_flag_removed(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("verb", ["validate", "zvonkin", "simulate", "rate", "ldp", "verify"])
+def test_seed_outside_key_range_exit_2(tmp_path, capsys, verb, seed):
+    problem = [] if verb == "verify" else ["--problem", "brownian-1d"]
+    with pytest.raises(SystemExit) as info:
+        main([verb, *problem, "--out", str(tmp_path), "--seed", seed])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_rate_verb(tmp_path):
     code = main(["rate", "--problem", "free-endpoint", "--out", str(tmp_path),
                  "--threshold", "1.0", "--restarts", "3", "--n-intervals", "16"])
@@ -300,3 +315,15 @@ def test_readme_example_runs(tmp_path):
         at = args.index("--out") + 1
         args[at] = str(tmp_path / args[at])
         assert main(args) == 0, line
+
+
+def test_import_loads_no_scipy_submodule():
+    """SciPy's integrator, interpolator, optimizer, sparse LU and special
+    functions load with the calls that use them, not with the package."""
+    lazy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
+            "scipy.special"]
+    code = f"import sys, ldplab, ldplab.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(ldplab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

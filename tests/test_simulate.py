@@ -42,6 +42,27 @@ def test_batched_increments_equal_per_path_streams(dim):
         assert np.array_equal(large[i], expected)
 
 
+def test_increments_keyed_exactly_above_2_63():
+    """Ladder point j = 1 has a seed above 2**63; each row must be keyed by
+    all 64 bits of it.  The references are keyed from a uint64 array: NumPy
+    reads a list [s, i] with such an s as float64, which rounds s."""
+    s = (2024 + 0x9E3779B97F4A7C15) % 2 ** 64         # ladder point seed at j = 1
+    assert s >= 2 ** 63
+    n_steps, dt = 32, 1.0 / 32
+    batch = brownian_increments(s, range(300), n_steps, 1, dt)
+    for i in (0, 255, 256, 299):
+        expected = np.random.Generator(np.random.Philox(
+            key=np.array([s, i], dtype=np.uint64))).standard_normal((n_steps, 1)) * np.sqrt(dt)
+        assert np.array_equal(batch[i], expected)
+
+
+@pytest.mark.parametrize("seed, paths", [(-1, [0]), (2 ** 64, [0]), (0, [-1]), (0, [2 ** 64]),
+                                         (0, range(-1, 3))])
+def test_increments_refuse_key_words_outside_uint64(seed, paths):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        brownian_increments(seed, paths, 4, 1, 0.25)
+
+
 def test_increments_variance():
     dt = 0.25
     inc = brownian_increments(0, [0], 20000, 1, dt)[0]
