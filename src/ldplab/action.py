@@ -222,6 +222,8 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
     transformed system: the best of ``restarts`` L-BFGS-B runs."""
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be at least 1")
     dyn = dynamics(problem if tsde is None else tsde, 0.0)
     q, dim, n = dyn.n_quiet, dyn.x0.size, n_intervals
     m, dt = dim - q, dyn.horizon / n

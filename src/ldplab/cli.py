@@ -132,6 +132,8 @@ def verb_zvonkin(args):
                            max_doublings=args.max_doublings)
     except SolveFailure as exc:
         return _fail(str(exc), EXIT_NO_CONVERGENCE)
+    except ValueError as exc:    # a lambda, resolution or doubling count out of range
+        return _fail(str(exc), EXIT_INPUT_ERROR)
     zmap = res.map
     save_map(zmap, os.path.join(args.out, "map.json"),
              os.path.join(args.out, "map_values.csv"))

@@ -55,7 +55,12 @@ def _axis_gradient(values, axes_h, axis):
 
 @dataclass
 class GridFunction:
-    """Vector-valued multilinear-interpolated function on a tensor grid."""
+    """Vector-valued multilinear-interpolated function on a tensor grid.
+
+    A 1-D grid is read by np.interp and never builds an interpolator, so a
+    1-D map loads neither scipy.interpolate nor scipy.optimize; an N-D grid
+    builds scipy's RegularGridInterpolator on its first read.
+    """
 
     box: Box
     axes: list            # per-axis node coordinates
@@ -66,10 +71,7 @@ class GridFunction:
             raise ValueError("grid values must be finite")
         if len(self.axes) == 1 and self.m != 1:
             raise ValueError("a grid function on a 1-D grid has one component")
-        from scipy.interpolate import RegularGridInterpolator
-
-        self._interp = RegularGridInterpolator(self.axes, self.values, method="linear",
-                                               bounds_error=True)
+        self._interp = None
         self._jac = None
 
     @property
@@ -95,7 +97,7 @@ class GridFunction:
                 raise ValueError("interpolation point outside the grid box")
             out = self.clamped(pts)
         else:
-            out = self._interp(pts)
+            out = self._interpolator()(pts)
         return out[0] if single else out
 
     def clamped(self, pts):
@@ -105,7 +107,16 @@ class GridFunction:
         read by np.interp, which clamps at the ends by itself."""
         if len(self.axes) == 1:
             return np.interp(pts, self.axes[0], self.values[:, 0])
-        return self._interp(np.clip(pts, self.box.lo, self.box.hi))
+        return self._interpolator()(np.clip(pts, self.box.lo, self.box.hi))
+
+    def _interpolator(self):
+        """The multilinear interpolator of an N-D grid, built once."""
+        if self._interp is None:
+            from scipy.interpolate import RegularGridInterpolator
+
+            self._interp = RegularGridInterpolator(self.axes, self.values, method="linear",
+                                                   bounds_error=True)
+        return self._interp
 
     def _jacobian_function(self):
         """The Jacobian's nodes as a GridFunction of m*d columns, built once."""
@@ -284,8 +295,8 @@ def solve_resolvent(problem, lam, resolution=257):
     Each step solves the linear problem (lambda - L) u_{k+1} = b2 + (b2 . grad) u_k
     with one sparse LU factorization shared across steps and components.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be a positive finite number, got {lam}")
     box = problem.noisy_box()
     m = problem.noisy_dim
     if resolution < 17:
@@ -343,8 +354,10 @@ class Lambda0Result:
 
 def find_lambda0(problem, resolution=257, lambda_start=1.0, max_doublings=20):
     """Geometric lambda ladder; returns the first certified resolvent map."""
-    if lambda_start <= 0:
-        raise ValueError("need lambda_start > 0")
+    if not 0 < lambda_start < math.inf:
+        raise ValueError(f"lambda_start must be a positive finite number, got {lambda_start}")
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be non-negative, got {max_doublings}")
     trail = []
     lam = lambda_start
     for _ in range(max_doublings + 1):

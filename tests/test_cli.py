@@ -128,6 +128,21 @@ def test_zvonkin_lambda_cap_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda-start", "inf"],
+    ["--lambda-start", "nan"],
+    ["--lambda-start", "0"],
+    ["--resolution", "10"],
+    ["--max-doublings", "-1"],
+], ids=["infinite-lambda", "nan-lambda", "zero-lambda", "coarse-grid", "negative-doublings"])
+def test_zvonkin_input_errors_exit_2(tmp_path, capsys, flags):
+    code = main(["zvonkin", "--problem", "dini-tanhlog-1d", "--out", str(tmp_path), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_simulate_writes_paths(tmp_path):
     code = main(["simulate", "--problem", "brownian-1d", "--out", str(tmp_path),
                  "--n-paths", "3", "--n-steps", "16"])
@@ -204,8 +219,9 @@ def test_rate_verb_records_restarts(tmp_path):
     ["--problem", "brownian-1d", "--coordinate", "3"],
     ["--problem", "brownian-1d", "--coordinate", "-1"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "-1"],
+    ["--problem", "brownian-1d", "--n-intervals", "0"],
 ], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-coordinate",
-        "negative-radius"])
+        "negative-radius", "zero-intervals"])
 def test_rate_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["rate", "--out", str(tmp_path), "--restarts", "1", "--n-intervals", "4",
                  *flags])
@@ -317,12 +333,22 @@ def test_readme_example_runs(tmp_path):
         assert main(args) == 0, line
 
 
-def test_import_loads_no_scipy_submodule():
+@pytest.mark.parametrize("code, lazy", [
+    ("import ldplab, ldplab.cli",
+     ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
+      "scipy.special"]),
+    ("from ldplab.problems import load_problem\n"
+     "from ldplab.zvonkin import find_lambda0, theta, theta_inv\n"
+     "zmap = find_lambda0(load_problem('dini-tanhlog-1d')).map\n"
+     "theta_inv(zmap, theta(zmap, [0.3]))",
+     ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special"]),
+], ids=["package", "map-1d"])
+def test_import_loads_no_scipy_submodule(code, lazy):
     """SciPy's integrator, interpolator, optimizer, sparse LU and special
-    functions load with the calls that use them, not with the package."""
-    lazy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
-            "scipy.special"]
-    code = f"import sys, ldplab, ldplab.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    functions load with the calls that use them, not with the package; a
+    certified 1-D map and a theta round trip through it need only the sparse
+    LU."""
+    code = f"import sys\n{code}\nprint([m for m in {lazy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(ldplab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)

@@ -109,8 +109,12 @@ def test_save_map_files(dini_map, tmp_path):
 
 def test_resolvent_rejects_bad_lambda():
     problem = load_problem("brownian-1d")
-    with pytest.raises(ValueError):
-        solve_resolvent(problem, 0.0)
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            solve_resolvent(problem, lam)
+    for kwargs in ({"lambda_start": np.inf}, {"lambda_start": np.nan}, {"max_doublings": -1}):
+        with pytest.raises(ValueError):
+            find_lambda0(problem, resolution=17, **kwargs)
 
 
 def test_interior_residual_small(dini_map):
