@@ -2,9 +2,10 @@
 
 Paths are simulated in chunks by the batched stepper of ``simulate`` with
 counter-based noise: the increments of path ``i`` at ladder point ``j``
-depend only on (seed, j, i), so estimates are byte-for-byte reproducible for
-any chunking, and runs with and without the singular drift share their
-noise exactly.
+depend only on (seed, j, i) (Philox keyed by (seed, j * 2**32 + i // 256)),
+so estimates are byte-for-byte reproducible for any chunking, and runs with
+and without the singular drift share their noise exactly.  A chunk's noise
+is streamed into the stepper slice by slice and is never held whole.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .simulate import brownian_increments, dynamics, euler
+from .simulate import NoiseStream, dynamics, euler
 
 __all__ = [
     "EventSpec",
@@ -116,14 +117,15 @@ def wilson_interval(hits, n, z=1.959963984540054):
 # Vectorized chunk simulation
 
 def _chunk_increments(seed, point_index, path_lo, path_hi, n_steps, dim, dt):
-    """Increments of paths path_lo..path_hi-1 at one ladder point, each keyed
-    by (point seed, path index) through ``brownian_increments``."""
-    point_seed = (int(seed) + int(point_index) * 0x9E3779B97F4A7C15) % 2 ** 64
-    return brownian_increments(point_seed, range(path_lo, path_hi), n_steps, dim, dt)
+    """Increments of paths path_lo..path_hi-1 at one ladder point, keyed by
+    (seed, point_index, path index), as a ``NoiseStream``: drawn while the
+    chunk is stepped."""
+    return NoiseStream(seed, range(path_lo, path_hi), n_steps, dim, dt, point=point_index)
 
 
 def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True):
-    """Euler-Maruyama over one chunk; returns (hit mask, escaped mask).
+    """Euler-Maruyama over one chunk driven by ``increments`` (an array or a
+    ``NoiseStream``); returns (hit mask, escaped mask).
 
     Escaped paths are frozen at their last in-box state and excluded from the
     hit count by the caller.
@@ -135,7 +137,8 @@ def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True
 def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
                          with_singular=True, point_index=0, chunk=_CHUNK):
     """Monte Carlo event probability with Wilson 95% interval, escape count
-    and the wall time spent drawing noise and stepping paths."""
+    and the wall time spent drawing noise (the slice draws of each chunk's
+    stream) and stepping paths (the rest)."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
@@ -147,11 +150,10 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
         t0 = perf_counter()
-        inc = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
-        t1 = perf_counter()
-        hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, inc, with_singular)
-        noise_s += t1 - t0
-        step_s += perf_counter() - t1
+        noise = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
+        hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, noise, with_singular)
+        noise_s += noise.draw_s
+        step_s += perf_counter() - t0 - noise.draw_s
         hits += int(np.sum(hit_mask & ~esc_mask))
         escapes += int(np.sum(esc_mask))
     if escapes == n_paths:

@@ -6,15 +6,21 @@ point, coefficients (drift and noise map) and box test of a system once, and
 ``euler`` steps a (B, dim) batch of paths through them.  The single-path ``simulate_*``
 functions, ``conjugacy_check`` and the Monte Carlo ladders all use it.
 
-Noise is counter-based: every path derives its Brownian increments from a
-Philox stream keyed by (seed, path_index), so results are independent of
-execution order and batch size, and increments can be block-summed to
-couple refinements of the time grid.
+Noise is counter-based and keyed by blocks of ``_NOISE_BLOCK`` paths: the
+normals of block i // 256 come from one Philox stream keyed by
+(seed, point * 2**32 + i // 256) in time-major (n_steps, 256, dim) order,
+and path i's row is column i % 256 of that draw.  A row is therefore a pure
+function of (seed, ladder point, path index), whatever the batch, chunk or
+order in which it is drawn; increments can be block-summed to couple
+refinements of the time grid.  ``NoiseStream`` draws a batch slice by slice,
+so that the stepper can consume it without holding it whole;
+``brownian_increments`` collects the same slices into one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,6 +31,7 @@ __all__ = [
     "PathSample",
     "EscapeError",
     "Dynamics",
+    "NoiseStream",
     "apply_noise",
     "brownian_increments",
     "coarsen_increments",
@@ -38,7 +45,8 @@ __all__ = [
 ]
 
 
-_NOISE_BLOCK = 256            # paths drawn before one transpose into the batch
+_NOISE_BLOCK = 256            # paths keyed together: one Philox stream per block
+_NOISE_SLICE = 32             # steps per slice at noise dim 1: one block's slice is 64 KiB
 
 
 class EscapeError(RuntimeError):
@@ -56,39 +64,89 @@ class PathSample:
     dt: float
 
 
-def brownian_increments(seed, paths, n_steps, dim, dt):
-    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range or
-    sequence of path indices), as a (len(paths), n_steps, dim) batch.
+def _run(ix):
+    """An index array as the equivalent slice when it is a run of consecutive
+    integers (a plain copy instead of a gather or scatter)."""
+    if np.array_equal(ix, np.arange(ix[0], ix[0] + len(ix))):
+        return slice(int(ix[0]), int(ix[0]) + len(ix))
+    return ix
 
-    Path i's row is the standard-normal stream of Philox keyed by
-    (seed, i), a pure function of (seed, i); both key words must lie in
-    [0, 2**64), else ``ValueError``.  One generator is re-keyed and reset
-    for each path instead of being rebuilt: its state is set from a dict of
-    plain integers (key (seed, i), counter 0, empty buffer), which the
-    setter reads faster than the NumPy arrays its getter returns.
-    The batch is a view of time-major storage, so that the stepper reads the
-    increments of one step, ``batch[:, k]``, from contiguous memory; rows are
-    drawn in blocks of ``_NOISE_BLOCK`` paths and transposed into place.
+
+class NoiseStream:
+    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range or
+    sequence of path indices) at ladder point ``point``, drawn as they are
+    read: the (len(paths), n_steps, dim) batch of ``brownian_increments``,
+    without holding it whole.
+
+    Iterating yields the batch in time-major slices (s, len(paths), dim) of
+    ``_NOISE_SLICE // dim`` steps (at least one), in order; each slice is one
+    reused array, valid until the next is drawn.  Every block of paths keeps
+    its own generator, keyed exactly from a uint64 array
+    (seed, point * 2**32 + block), and draws each slice into one reused
+    buffer of at most 64 KiB (for dim <= 32), so a block drawn in slices
+    gives the values of one whole (n_steps, 256, dim) draw.  Each iteration
+    starts the streams afresh; ``draw_s`` sums the wall time spent drawing.
+
+    The key words must lie in range, else ``ValueError``: seed in
+    [0, 2**64), point in [0, 2**32) and path indices in [0, 2**40).
     """
-    for word in (seed, min(paths, default=0), max(paths, default=0)):
-        if not 0 <= word < 2 ** 64:
-            raise ValueError(f"seed and path indices must lie in [0, 2**64), got {word}")
-    out = np.empty((n_steps, len(paths), dim))
-    block = np.empty((min(_NOISE_BLOCK, len(paths)), n_steps, dim))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    key = [seed, 0]
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for lo in range(0, len(paths), _NOISE_BLOCK):
-        part = paths[lo:lo + _NOISE_BLOCK]
-        rows = block[:len(part)]
-        for row, i in zip(rows, part):
-            key[1] = i
-            bitgen.state = state
-            gen.standard_normal(out=row)
-        out[:, lo:lo + len(rows)] = rows.transpose(1, 0, 2)
-    out *= np.sqrt(dt)
+
+    def __init__(self, seed, paths, n_steps, dim, dt, point=0):
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        if not 0 <= point < 2 ** 32:
+            raise ValueError(f"ladder point must lie in [0, 2**32), got {point}")
+        idx = np.asarray(paths)
+        if idx.size and not (idx.min() >= 0 and idx.max() < 2 ** 40):
+            bad = idx.min() if idx.min() < 0 else idx.max()
+            raise ValueError(f"path indices must lie in [0, 2**40), got {bad}")
+        self.paths = idx.astype(np.int64)
+        self.seed, self.point = int(seed), int(point)
+        self.shape = (len(self.paths), n_steps, dim)
+        self.dt = dt
+        self.draw_s = 0.0
+
+    def __iter__(self):
+        n, n_steps, dim = self.shape
+        blocks = self.paths // _NOISE_BLOCK
+        order = np.argsort(blocks, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1) if n else []
+        draws = []                # (generator, rows of the batch, columns of the block)
+        for rows in groups:
+            key = np.array([self.seed, (self.point << 32) + int(blocks[rows[0]])], dtype=np.uint64)
+            draws.append((np.random.Generator(np.random.Philox(key=key)), _run(rows),
+                          _run(self.paths[rows] % _NOISE_BLOCK)))
+        steps = max(1, min(n_steps, _NOISE_SLICE // dim))
+        buf = np.empty((steps, _NOISE_BLOCK, dim))
+        out = np.empty((steps, n, dim))
+        sqrt_dt = np.sqrt(self.dt)
+        for k in range(0, n_steps, steps):
+            t0 = perf_counter()
+            s = min(steps, n_steps - k)
+            part = out[:s]
+            for gen, rows, cols in draws:
+                gen.standard_normal(out=buf[:s])
+                part[:, rows] = buf[:s, cols]
+            part *= sqrt_dt
+            self.draw_s += perf_counter() - t0
+            yield part
+
+
+def brownian_increments(seed, paths, n_steps, dim, dt, point=0):
+    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range or
+    sequence of path indices) at ladder point ``point``, as a
+    (len(paths), n_steps, dim) batch: the slices of ``NoiseStream``
+    collected, with its keying and its ``ValueError`` for key words out of
+    range.  The batch is a view of time-major storage, so that the stepper
+    reads the increments of one step, ``batch[:, k]``, from contiguous
+    memory.
+    """
+    stream = NoiseStream(seed, paths, n_steps, dim, dt, point)
+    out = np.empty((n_steps, len(stream.paths), dim))
+    k = 0
+    for part in stream:
+        out[k:k + len(part)] = part
+        k += len(part)
     return out.transpose(1, 0, 2)
 
 
@@ -198,7 +256,9 @@ def _transformed_dynamics(tsde, eps):
 def euler(dyn, increments, keep_path=False):
     """Explicit Euler-Maruyama for a batch of paths driven by ``increments``.
 
-    ``increments`` is (B, n_steps, noise_dim); dt = horizon / n_steps, and
+    ``increments`` is the (B, n_steps, noise_dim) batch of dW: an array, or a
+    ``NoiseStream``, whose slices are drawn as the steps read them, so that
+    the batch is never held whole.  dt = horizon / n_steps, and
     the noise sqrt(eps) sigma dW is added only when eps != 0, as one matrix
     product for a constant sigma and one batched product otherwise.  Every
     row is stepped, and a row that leaves the box is marked dead and frozen
@@ -208,6 +268,7 @@ def euler(dyn, increments, keep_path=False):
     ``keep_path`` and None otherwise.
     """
     B, n_steps = increments.shape[:2]
+    slices = increments if isinstance(increments, NoiseStream) else [increments.transpose(1, 0, 2)]
     dt = dyn.horizon / n_steps
     sqrt_eps = np.sqrt(dyn.eps)
     q = dyn.n_quiet
@@ -216,7 +277,7 @@ def euler(dyn, increments, keep_path=False):
     path = np.empty((B, n_steps + 1, z.shape[1])) if keep_path else None
     if keep_path:
         path[:, 0] = z
-    for k in range(n_steps):
+    for k, dw in enumerate(dw for part in slices for dw in part):
         if not alive.any():
             if keep_path:
                 path[:, k + 1:] = z[:, None, :]
@@ -224,7 +285,7 @@ def euler(dyn, increments, keep_path=False):
         drift, sigma = dyn.coefficients(z)
         step = z + drift * dt
         if dyn.eps != 0.0:
-            step[:, q:] += sqrt_eps * apply_noise(sigma, increments[:, k])
+            step[:, q:] += sqrt_eps * apply_noise(sigma, dw)
         alive &= dyn.inside(step)
         z = np.where(alive[:, None], step, z)
         if keep_path:

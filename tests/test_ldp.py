@@ -1,3 +1,6 @@
+import tracemalloc
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -6,6 +9,7 @@ from ldplab.action import ball_target, half_space_target
 from ldplab.ldp import (EventSpec, bound_check, estimate_probability,
                         fit_slope, ldp_experiment, terminal_event, wilson_interval)
 from ldplab.problems import load_problem
+from ldplab.simulate import NoiseStream, brownian_increments, dynamics, euler
 from ldplab.verify import gaussian_reference_slope
 
 
@@ -61,6 +65,53 @@ def test_estimate_reproducible_across_chunking():
     a = estimate_probability(problem, event, 0.5, 1000, 32, seed=3, chunk=100)
     b = estimate_probability(problem, event, 0.5, 1000, 32, seed=3, chunk=1000)
     assert a.hits == b.hits
+
+
+def test_streamed_point_equals_euler_over_increments(tmp_path):
+    """A ladder point streamed in chunks of 300 paths (not a multiple of the
+    256-path key block) has the hits, escapes and final states of ``euler``
+    over the collected ``brownian_increments`` of all its paths, bit for bit."""
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+                      .replace("box_lo = -6.0", "box_lo = -1.5")
+                      .replace("box_hi = 6.0", "box_hi = 1.5"))
+    problem = load_problem(str(narrow))
+    event = terminal_event(half_space_target([1.0], 0.5))
+    n_paths, n_steps, seed, point, chunk = 1000, 40, 6, 3, 300
+    dt = problem.horizon_T / n_steps
+    pt = estimate_probability(problem, event, 1.0, n_paths, n_steps, seed, point_index=point,
+                              chunk=chunk)
+    dyn = dynamics(problem, 1.0)
+    z, alive, _ = euler(dyn, brownian_increments(seed, range(n_paths), n_steps, 1, dt,
+                                                 point=point))
+    assert 0 < pt.escapes == np.sum(~alive)
+    assert pt.hits == np.sum((event.target.distance(z) <= 0.0) & alive)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        zs, alive_s, _ = euler(dyn, NoiseStream(seed, range(lo, hi), n_steps, 1, dt, point=point))
+        assert zs.tobytes() == z[lo:hi].tobytes()
+        assert np.array_equal(alive_s, alive[lo:hi])
+
+
+def test_streamed_point_times_drawing_and_stepping():
+    problem = load_problem("brownian-1d")
+    event = terminal_event(half_space_target([1.0], 1.0))
+    pt = estimate_probability(problem, event, 0.5, 1000, 64, seed=1, chunk=300)
+    assert pt.noise_s > 0.0 and pt.step_s > 0.0
+
+
+def test_ladder_point_never_holds_its_increments():
+    """One brownian-1d point of 32768 paths x 256 steps peaks below 16 MiB of
+    traced allocations; its whole (32768, 256, 1) increment batch is 64 MiB."""
+    problem = load_problem("brownian-1d")
+    event = terminal_event(half_space_target([1.0], 1.0))
+    tracemalloc.start()
+    try:
+        estimate_probability(problem, event, 0.125, 32768, 256, seed=2024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_estimate_leaves_event_unchanged():

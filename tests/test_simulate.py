@@ -7,7 +7,7 @@ from ldplab import zvonkin
 from ldplab.expr import EvaluationError
 from ldplab.model import VectorField
 from ldplab.problems import load_problem, parse_problem_text
-from ldplab.simulate import (EscapeError, apply_noise, brownian_increments,
+from ldplab.simulate import (EscapeError, NoiseStream, apply_noise, brownian_increments,
                              coarsen_increments, conjugacy_check, dynamics, euler,
                              simulate_degenerate, simulate_original, simulate_transformed,
                              simulate_transformed_degenerate)
@@ -23,44 +23,69 @@ def test_increments_reproducible_and_independent():
     assert a.shape == (100, 2)
 
 
+def _block_rows(seed, point, i, n_steps, dim, dt):
+    """Path i's increments drawn afresh: the (n_steps, 256, dim) draw of the
+    Philox stream keyed by (seed, point * 2**32 + i // 256), column i % 256.
+    The key is a uint64 array: NumPy reads a list [s, w] with a word >= 2**63
+    as float64, which rounds it and gives another stream."""
+    key = np.array([seed, point * 2 ** 32 + i // 256], dtype=np.uint64)
+    draw = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, 256, dim))
+    return draw[:, i % 256] * np.sqrt(dt)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_batched_increments_equal_per_path_streams(dim):
-    """The batch reproduces, row for row, one freshly keyed Philox per path,
-    also across the blocks in which the batch is drawn."""
-    s = (2024 + 2 * 0x9E3779B97F4A7C15) % 2 ** 64     # ladder point seed at j = 2
-    n_steps, dt = 64, 1.0 / 64
-    batch = brownian_increments(s, range(5, 37), n_steps, dim, dt)
-    assert batch.shape == (32, n_steps, dim)
-    for row, i in zip(batch, range(5, 37)):
-        expected = np.random.Generator(np.random.Philox(
-            key=np.array([s, i], dtype=np.uint64))).standard_normal((n_steps, dim)) * np.sqrt(dt)
-        assert np.array_equal(row, expected)
-    large = brownian_increments(s, range(600), n_steps, dim, dt)
-    for i in (0, 255, 256, 511, 512, 599):
-        expected = np.random.Generator(np.random.Philox(
-            key=np.array([s, i], dtype=np.uint64))).standard_normal((n_steps, dim)) * np.sqrt(dt)
-        assert np.array_equal(large[i], expected)
+    """Each row of a batch is its path's column of a freshly keyed block
+    draw, across blocks and for ranges, lists, index arrays and a single
+    path, and the stream yields the same values slice by slice."""
+    seed, point, n_steps, dt = 2024, 2, 70, 1.0 / 70
+    rows = (0, 255, 256, 599)
+    expected = {i: _block_rows(seed, point, i, n_steps, dim, dt) for i in rows}
+    batch = brownian_increments(seed, range(600), n_steps, dim, dt, point=point)
+    assert batch.shape == (600, n_steps, dim)
+    for i in rows:
+        assert np.array_equal(batch[i], expected[i])
+    for paths in ([599, 0, 256, 255], np.array([0, 255, 256, 599]), range(255, 257), [599]):
+        batch = brownian_increments(seed, paths, n_steps, dim, dt, point=point)
+        assert batch.shape == (len(paths), n_steps, dim)
+        for row, i in zip(batch, paths):
+            assert np.array_equal(row, expected[i])
+    stream = NoiseStream(seed, [599, 0], n_steps, dim, dt, point=point)
+    parts = [part.copy() for part in stream]
+    assert [len(part) for part in parts[:-1]] == [32 // dim] * (len(parts) - 1)
+    assert np.array_equal(np.concatenate(parts), np.stack([expected[599], expected[0]], axis=1))
+    assert stream.draw_s > 0
 
 
 def test_increments_keyed_exactly_above_2_63():
-    """Ladder point j = 1 has a seed above 2**63; each row must be keyed by
-    all 64 bits of it.  The references are keyed from a uint64 array: NumPy
-    reads a list [s, i] with such an s as float64, which rounds s."""
-    s = (2024 + 0x9E3779B97F4A7C15) % 2 ** 64         # ladder point seed at j = 1
-    assert s >= 2 ** 63
-    n_steps, dt = 32, 1.0 / 32
-    batch = brownian_increments(s, range(300), n_steps, 1, dt)
+    """Both key words above 2**63 (seed 2**64 - 1 and ladder point >= 2**31)
+    are used with all 64 bits, up to the largest key words."""
+    seed, point, n_steps, dt = 2 ** 64 - 1, 2 ** 31 + 5, 32, 1.0 / 32
+    assert point * 2 ** 32 >= 2 ** 63
+    batch = brownian_increments(seed, range(300), n_steps, 1, dt, point=point)
     for i in (0, 255, 256, 299):
-        expected = np.random.Generator(np.random.Philox(
-            key=np.array([s, i], dtype=np.uint64))).standard_normal((n_steps, 1)) * np.sqrt(dt)
-        assert np.array_equal(batch[i], expected)
+        assert np.array_equal(batch[i], _block_rows(seed, point, i, n_steps, 1, dt))
+    last = 2 ** 40 - 1
+    row, = brownian_increments(seed, [last], n_steps, 1, dt, point=2 ** 32 - 1)
+    assert np.array_equal(row, _block_rows(seed, 2 ** 32 - 1, last, n_steps, 1, dt))
 
 
 @pytest.mark.parametrize("seed, paths", [(-1, [0]), (2 ** 64, [0]), (0, [-1]), (0, [2 ** 64]),
-                                         (0, range(-1, 3))])
+                                         (0, range(-1, 3)), (0, [2 ** 40])])
 def test_increments_refuse_key_words_outside_uint64(seed, paths):
-    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-        brownian_increments(seed, paths, 4, 1, 0.25)
+    """Seeds outside [0, 2**64) and path indices outside [0, 2**40) are
+    refused by the collected batch and by the stream alike."""
+    bound = 64 if not 0 <= seed < 2 ** 64 else 40
+    for draw in (brownian_increments, NoiseStream):
+        with pytest.raises(ValueError, match=rf"\[0, 2\*\*{bound}\)"):
+            draw(seed, paths, 4, 1, 0.25)
+
+
+@pytest.mark.parametrize("point", [-1, 2 ** 32])
+def test_increments_refuse_ladder_points_outside_key_range(point):
+    for draw in (brownian_increments, NoiseStream):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            draw(0, [0], 4, 1, 0.25, point=point)
 
 
 def test_increments_variance():
