@@ -31,7 +31,8 @@ __all__ = [
     "bound_check",
 ]
 
-_CHUNK = 32768
+_CHUNK = 32768                 # paths stepped together at one ladder point
+_Z95 = 1.959963984540054       # two-sided 95% normal quantile of the Wilson interval
 
 
 # ---------------------------------------------------------------------------
@@ -39,25 +40,13 @@ _CHUNK = 32768
 
 @dataclass
 class EventSpec:
-    """A terminal event: the state at the horizon lies in ``target``.
-
-    ``open_or_closed`` is a declared reporting label selecting which side of
-    the large-deviation sandwich the event nominally exercises; it is not a
-    computed topological fact.
-    """
+    """A terminal event: the state at the horizon lies in ``target``."""
 
     target: object                 # Target with .distance
-    open_or_closed: str = "closed"
-    description: str = ""
-
-    def __post_init__(self):
-        if self.open_or_closed not in ("open", "closed"):
-            raise ValueError("open_or_closed must be 'open' or 'closed'")
 
 
-def terminal_event(target, open_or_closed="closed"):
-    return EventSpec(target=target, open_or_closed=open_or_closed,
-                     description=f"terminal in {target.description}")
+def terminal_event(target):
+    return EventSpec(target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +89,11 @@ class BoundReport:
     margin: float
 
 
-def wilson_interval(hits, n, z=1.959963984540054):
+def wilson_interval(hits, n):
     """Wilson 95% score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
-    p = hits / n
+    p, z = hits / n, _Z95
     denom = 1.0 + z ** 2 / n
     center = (p + z ** 2 / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z ** 2 / (4 * n ** 2)) / denom
@@ -135,7 +124,7 @@ def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True
 
 
 def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
-                         with_singular=True, point_index=0, chunk=_CHUNK):
+                         with_singular=True, point_index=0):
     """Monte Carlo event probability with Wilson 95% interval, escape count
     and the wall time spent drawing noise (the slice draws of each chunk's
     stream) and stepping paths (the rest)."""
@@ -147,8 +136,8 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
     hits = 0
     escapes = 0
     noise_s = step_s = 0.0
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
         t0 = perf_counter()
         noise = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
         hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, noise, with_singular)
@@ -211,7 +200,7 @@ def fit_slope(ladder):
 
 
 def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
-                   with_singular=True, chunk=_CHUNK):
+                   with_singular=True):
     """Ladder of probability estimates plus the fitted decay slope.
 
     Noise streams depend only on (seed, ladder position, path index), so a
@@ -221,7 +210,7 @@ def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
     for j, eps in enumerate(eps_ladder):
         ladder.append(estimate_probability(problem, event, eps, n_paths, n_steps,
                                            seed, with_singular=with_singular,
-                                           point_index=j, chunk=chunk))
+                                           point_index=j))
     slope, stderr = fit_slope(ladder)
     if slope > 0 and all(pt.p_hat < 1.0 for pt in ladder):
         warnings.warn("fitted slope is positive while probabilities decay",

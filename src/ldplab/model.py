@@ -33,6 +33,13 @@ __all__ = [
     "drift_family_limit_gap",
 ]
 
+_MONOTONE_GRID = 201                              # points of [0, 1] where phi is checked
+_DINI_CUTOFFS = np.logspace(-2, -12, 6)           # dini_classify's lower integration limits
+_PROBE_SAMPLES = 2000                             # sampled pairs per probe; points for the gap
+_ELLIPTICITY_POINTS = 500                         # sampled points of the ellipticity probe
+_ELLIPTICITY_TOL = 1e-9                           # eigenvalues may leave [1/K, K] by this much
+_MODULUS_SLACK = 1e-6                             # relative slack of the modulus probe
+
 
 # ---------------------------------------------------------------------------
 # Boxes
@@ -60,13 +67,12 @@ class Box:
     def dim(self):
         return self.lo.size
 
-    def contains(self, x, tol=0.0):
-        """(...,) mask of the points of a (..., dim) batch inside the box
-        widened by ``tol``; False for NaN, and for +-inf as the bounds are
-        finite.  The comparisons are combined one coordinate at a time, which
-        for a small dim is much cheaper than reducing dim-wide rows."""
-        x = np.atleast_2d(x)
-        lo, hi = self.lo - tol, self.hi + tol
+    def contains(self, x):
+        """(...,) mask of the points of a (..., dim) batch inside the box;
+        False for NaN, and for +-inf as the bounds are finite.  The
+        comparisons are combined one coordinate at a time, which for a small
+        dim is much cheaper than reducing dim-wide rows."""
+        x, lo, hi = np.atleast_2d(x), self.lo, self.hi
         inside = (x[..., 0] >= lo[0]) & (x[..., 0] <= hi[0])
         for i in range(1, self.dim):
             inside &= x[..., i] >= lo[i]
@@ -153,9 +159,9 @@ class Modulus:
             raise EvaluationError("modulus must be nonnegative and finite")
         return out[0] if scalar else out
 
-    def check_monotone(self, n=201):
+    def check_monotone(self):
         """Nonnegative and nondecreasing on a probe grid of [0, 1]."""
-        grid = np.linspace(0.0, 1.0, n)
+        grid = np.linspace(0.0, 1.0, _MONOTONE_GRID)
         vals = self.phi(grid)
         return bool(np.all(np.diff(vals) >= -1e-12) and np.all(vals >= 0))
 
@@ -182,7 +188,7 @@ def _aitken_limit(values):
     return v2 - d2 * d2 / denom
 
 
-def dini_classify(m, lower_cutoffs=None):
+def dini_classify(m):
     """Classify the integral of phi(s)/s over (0, 1] as finite or divergent.
 
     Quadrature values V(c) = int_c^1 phi(s)/s ds are computed along a
@@ -195,11 +201,6 @@ def dini_classify(m, lower_cutoffs=None):
     slowly-converging log-moduli (e.g. beta = 1.5) from the divergent ones at
     reachable cutoffs; the exponent refinement can.
     """
-    if lower_cutoffs is None:
-        lower_cutoffs = np.logspace(-2, -12, 6)
-    cutoffs = np.asarray(lower_cutoffs, dtype=float)
-    if np.any(np.diff(cutoffs) >= 0) or np.any(cutoffs <= 0) or np.any(cutoffs >= 1):
-        raise ValueError("cutoffs must decrease toward 0 within (0,1)")
     from scipy.integrate import quad
 
     def integrand(s):
@@ -208,7 +209,7 @@ def dini_classify(m, lower_cutoffs=None):
     partials = []
     total = 0.0
     upper = 1.0
-    for c in cutoffs:
+    for c in _DINI_CUTOFFS:
         piece, _err = quad(integrand, c, upper, limit=200)
         total += piece
         partials.append((float(c), total))
@@ -220,7 +221,7 @@ def dini_classify(m, lower_cutoffs=None):
         return DiniVerdict(finite=True, value=float(_aitken_limit(values)), partials=partials)
 
     # Local decay exponent of psi(r) = phi(exp(-r)) against log r.
-    r = np.log(1.0 / cutoffs)
+    r = np.log(1.0 / _DINI_CUTOFFS)
     psi = np.array([float(m.phi(math.exp(-ri))) for ri in r])
     if np.any(psi <= 0):
         # phi vanishing on the probe tail: integral of the remaining tail is 0.
@@ -362,10 +363,12 @@ class SdeProblem:
     dims: tuple = ()                           # (n,) or (d1, d2)
 
     def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
-        if self.ellipticity_K <= 1:
-            raise ValueError("ellipticity_K must exceed 1")
+        if not 0 < self.horizon_T < math.inf:
+            raise ValueError(f"horizon_T must lie in (0, inf), got {self.horizon_T}")
+        if not 1 < self.ellipticity_K < math.inf:
+            raise ValueError(f"ellipticity_K must lie in (1, inf), got {self.ellipticity_K}")
+        if not math.isfinite(self.lipschitz_L):
+            raise ValueError(f"lipschitz_L must be finite, got {self.lipschitz_L}")
         if self.layout == "nondegenerate":
             (n,) = self.dims
             if self.diffusion is None or self.diffusion.out_dim != n:
@@ -381,21 +384,28 @@ class SdeProblem:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.singular_drift is not None and self.singular_drift.declared_modulus is None:
             raise ValueError("singular drift needs a declared modulus")
+        start = np.asarray(self.start, dtype=float)   # the box is finite: NaN, inf lie outside
+        if start.shape != (self.state_dim,) or not self.working_box.contains(start)[0]:
+            raise ValueError(f"start must be {self.state_dim} finite number(s) inside the "
+                             f"working box, got {start.tolist()}")
 
     @property
     def state_dim(self):
         return sum(self.dims)
 
     @property
+    def n_quiet(self):
+        """Leading noise-free coordinates (d1, or 0)."""
+        return self.dims[0] if self.layout == "degenerate" else 0
+
+    @property
     def noisy_dim(self):
-        return self.dims[0] if self.layout == "nondegenerate" else self.dims[1]
+        return self.state_dim - self.n_quiet
 
     def noisy_box(self):
         """Working box restricted to the noisy coordinates."""
-        if self.layout == "nondegenerate":
-            return self.working_box
-        d1, d2 = self.dims
-        return Box(lo=self.working_box.lo[d1:], hi=self.working_box.hi[d1:])
+        q = self.n_quiet
+        return Box(lo=self.working_box.lo[q:], hi=self.working_box.hi[q:])
 
     def singular_or_zero(self):
         if self.singular_drift is not None:
@@ -419,18 +429,14 @@ class ProbeResult:
         return self.passed
 
 
-def _pair_samples(box, n_pairs, seed):
+def _pair_samples(box, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xs = box.sample(rng, n_pairs)
-    ys = box.sample(rng, n_pairs)
-    return xs, ys
+    return box.sample(rng, _PROBE_SAMPLES), box.sample(rng, _PROBE_SAMPLES)
 
 
-def probe_lipschitz(f, box, n_pairs=2000, seed=0):
+def probe_lipschitz(f, box, seed=0):
     """Sampled max of |f(x)-f(y)| / |x-y|: a lower bound on the true constant."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    xs, ys = _pair_samples(box, n_pairs, seed)
+    xs, ys = _pair_samples(box, seed)
     gaps = np.linalg.norm(xs - ys, axis=1)
     keep = gaps >= 1e-12
     xs, ys, gaps = xs[keep], ys[keep], gaps[keep]
@@ -442,18 +448,18 @@ def probe_lipschitz(f, box, n_pairs=2000, seed=0):
     return float(np.max(num / gaps)) if len(gaps) else 0.0
 
 
-def probe_ellipticity(sigma, K, box, n_points=500, seed=0, tol=1e-9):
+def probe_ellipticity(sigma, K, box, seed=0):
     """Eigenvalues of sigma sigma^T must lie in [1/K, K] on sampled points."""
     if not sigma.matrix:
         raise ValueError("ellipticity probe needs a matrix-valued diffusion")
     if K <= 1:
         raise ValueError("K must exceed 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = box.sample(rng, n_points)
+    pts = box.sample(rng, _ELLIPTICITY_POINTS)
     s = sigma(pts)
     a = s @ np.swapaxes(s, -1, -2)
     eig = np.linalg.eigvalsh(a)
-    low, high = eig[:, 0], eig[:, -1]
+    low, high, tol = eig[:, 0], eig[:, -1], _ELLIPTICITY_TOL
     bad = (low < 1.0 / K - tol) | (high > K + tol)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -462,14 +468,14 @@ def probe_ellipticity(sigma, K, box, n_points=500, seed=0, tol=1e-9):
     return ProbeResult(passed=True, value=float(np.max(high)))
 
 
-def probe_modulus(f, m, box, n_pairs=2000, seed=0, slack=1e-6):
-    """Check |f(x)-f(y)| <= phi(|x-y|) * (1 + slack) on sampled pairs."""
-    xs, ys = _pair_samples(box, n_pairs, seed)
+def probe_modulus(f, m, box, seed=0):
+    """Check |f(x)-f(y)| <= phi(|x-y|) * (1 + _MODULUS_SLACK) on sampled pairs."""
+    xs, ys = _pair_samples(box, seed)
     gaps = np.linalg.norm(xs - ys, axis=1)
     keep = gaps >= 1e-12
     xs, ys, gaps = xs[keep], ys[keep], gaps[keep]
     diff = np.linalg.norm(f(xs) - f(ys), axis=1)
-    bound = m.phi(gaps) * (1.0 + slack)
+    bound = m.phi(gaps) * (1.0 + _MODULUS_SLACK)
     bad = diff > bound
     if np.any(bad):
         i = int(np.argmax(diff - bound))
@@ -479,13 +485,12 @@ def probe_modulus(f, m, box, n_pairs=2000, seed=0, slack=1e-6):
     return ProbeResult(passed=True, value=margin)
 
 
-def drift_family_limit_gap(problem, eps, box=None, n_points=2000, seed=0):
-    """Sampled sup-norm of b1^eps - b1^0 over the box (both blocks if degenerate)."""
+def drift_family_limit_gap(problem, eps, seed=0):
+    """Sampled sup-norm of b1^eps - b1^0 on the working box (both blocks if degenerate)."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    box = box or problem.working_box
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = box.sample(rng, n_points)
+    pts = problem.working_box.sample(rng, _PROBE_SAMPLES)
     total = 0.0
     families = [problem.drift] if problem.layout == "nondegenerate" \
         else [problem.bbar, problem.Bbar]

@@ -203,8 +203,10 @@ def dynamics(system, eps, with_singular=True):
     sigma declared constant (``lipschitz_const == 0``) is evaluated once, at
     the start.  A TransformedSde lives on theta's interior box (its
     noise-free block, if any, on the working box) and always carries the
-    transformed singular term.
+    transformed singular term.  ``ValueError`` unless 0 <= eps <= 1.
     """
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
     if isinstance(system, SdeProblem):
         return _original_dynamics(system, eps, with_singular)
     return _transformed_dynamics(system, eps)
@@ -213,7 +215,7 @@ def dynamics(system, eps, with_singular=True):
 def _original_dynamics(problem, eps, with_singular):
     singular = problem.singular_drift if with_singular and eps != 0.0 else None
     b2 = None if singular is None else singular.func
-    q = 0 if problem.layout == "nondegenerate" else problem.dims[0]
+    q = problem.n_quiet
     x0 = problem.start.astype(float)
     sigma = problem.diffusion.func
     if problem.diffusion.lipschitz_const == 0.0:
@@ -294,8 +296,6 @@ def euler(dyn, increments, keep_path=False):
 
 
 def _single_path(system, eps, n_steps, seed, path_index, increments, with_singular=True):
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     dyn = dynamics(system, eps, with_singular)
@@ -353,7 +353,7 @@ def conjugacy_check(problem, zmap, eps, increments, tsde=None):
             raise EscapeError(path[np.argmin(alive), -1])
         paths.append(path)
     x, y = paths
-    q = problem.state_dim - problem.noisy_dim
+    q = problem.n_quiet
     noisy = x[..., q:]
     x[..., q:] = theta(zmap, noisy.reshape(-1, noisy.shape[-1])).reshape(noisy.shape)
     return np.max(np.linalg.norm(x - y, axis=-1), axis=1)

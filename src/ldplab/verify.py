@@ -73,21 +73,12 @@ def _constant_singular_problem(c=1.0):
                       singular_drift=singular, diffusion=eye, dims=(1,))
 
 
-_DINI_MAP_CACHE = {}
-
-
-def _dini_map(resolution=257):
-    key = resolution
-    if key not in _DINI_MAP_CACHE:
-        problem = load_problem("dini-tanhlog-1d")
-        _DINI_MAP_CACHE[key] = (problem, find_lambda0(problem, resolution=resolution))
-    return _DINI_MAP_CACHE[key]
-
-
 # Ladders and minimum-action solves on bundled problems, keyed by what they
 # compute, not by which gate asks: problem files that differ only in ``name``,
-# or in a singular drift that is left out, give one experiment.
+# or in a singular drift that is left out, give one experiment.  The certified
+# dini map that gates 2, 3, 4 and 6 read is kept here too.
 _EXPERIMENTS = {}
+_FIXED_SEED = 0               # gates 3, 5 and 6: the run's seed does not reach them
 
 
 def _content(name, with_singular):
@@ -107,6 +98,15 @@ def memo_ladder(name, target, eps_ladder, n_paths, n_steps, seed, with_singular=
         _EXPERIMENTS[key] = ldp_experiment(load_problem(name), terminal_event(target),
                                            eps_ladder, n_paths, n_steps, seed,
                                            with_singular=with_singular)
+    return _EXPERIMENTS[key]
+
+
+def _dini_map():
+    """dini-tanhlog-1d and its ``find_lambda0`` result at resolution 257, solved once."""
+    key = ("dini_map",)
+    if key not in _EXPERIMENTS:
+        problem = load_problem("dini-tanhlog-1d")
+        _EXPERIMENTS[key] = (problem, find_lambda0(problem, resolution=257))
     return _EXPERIMENTS[key]
 
 
@@ -139,7 +139,7 @@ def gate_constant_resolvent():
                        "expected": expected_lambda0})
 
 
-def gate_norm_certificate(seed=0):
+def gate_norm_certificate():
     """Certified norm sum <= 1/2 with a nonincreasing lambda-ladder trail."""
     problem, res = _dini_map()
     sums = [s for _, _, s in res.trail]
@@ -151,11 +151,11 @@ def gate_norm_certificate(seed=0):
                        "monotone": monotone})
 
 
-def gate_homeomorphism_roundtrip(seed=0):
+def gate_homeomorphism_roundtrip():
     """theta_inv(theta(x)) = x to 1e-10 with per-step contraction <= 1/2."""
     problem, res = _dini_map()
     zmap = res.map
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_FIXED_SEED))
     pts = zmap.interior_box().sample(rng, 1000)
     ys = theta(zmap, pts)
     worst_err = 0.0
@@ -199,12 +199,12 @@ def gate_ito_conjugacy(seed=2024, n_paths=8):
                        "ratios": "[" + ",".join(f"{r:.2f}" for r in ratios) + "]"})
 
 
-def gate_rate_oracles(seed=0):
+def gate_rate_oracles():
     """Closed-form minimum actions: free endpoint and linear-pull endpoint."""
     a, T = 1.0, 1.0
-    r_free = memo_solve("free-endpoint", ball_target([a]), 32, 4, seed)
+    r_free = memo_solve("free-endpoint", ball_target([a]), 32, 4, _FIXED_SEED)
     free_exact = a ** 2 / (2 * T)
-    r_ou = memo_solve("ou-1d", ball_target([a]), 32, 4, seed)
+    r_ou = memo_solve("ou-1d", ball_target([a]), 32, 4, _FIXED_SEED)
     ou_exact = 0.5 * a ** 2 / ((1.0 - np.exp(-2.0 * T)) / 2.0)
     err_free = abs(r_free.value - free_exact) / free_exact
     err_ou = abs(r_ou.value - ou_exact) / ou_exact
@@ -216,14 +216,14 @@ def gate_rate_oracles(seed=0):
                        "ou_rel_err": float(err_ou)})
 
 
-def gate_transform_rate_identity(seed=0):
+def gate_transform_rate_identity():
     """Minimum action agrees through the change of variables; skeletons conjugate."""
     problem, res = _dini_map()
     zmap = res.map
     target = ball_target([1.0])
-    direct = memo_solve("dini-tanhlog-1d", target, 32, 4, seed)
+    direct = memo_solve("dini-tanhlog-1d", target, 32, 4, _FIXED_SEED)
     through = rate_via_transform(problem, zmap, target, n_intervals=32, restarts=4,
-                                 seed=seed)
+                                 seed=_FIXED_SEED)
     rel = abs(direct.value - through.value) / max(abs(direct.value), 1e-12)
 
     # skeleton conjugacy: the same 20 controls drive both systems, as one batch
@@ -231,7 +231,7 @@ def gate_transform_rate_identity(seed=0):
     h = zmap.u.steps()[0]
     tol = 0.125 * h ** 2 * max(zmap.norms[2], 1.0) * np.exp(2.0 * problem.horizon_T) \
         + (problem.horizon_T / n_steps) ** 2 * 100.0
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_FIXED_SEED))
     control = ControlPath(hdot=0.5 * rng.standard_normal((20, 8, problem.noisy_dim)),
                           horizon_T=problem.horizon_T)
     gx = skeleton(problem, control, n_steps).states
@@ -252,21 +252,21 @@ _TAIL = half_space_target([1.0], 1.0)                      # X_T >= 1
 _Y_TAIL = half_space_target([1.0], 0.5, coords=(1,))      # Y_T >= 0.5
 
 
-def gaussian_reference_slope(n_paths=_N_PATHS):
+def gaussian_reference_slope():
     """The prescribed slope fit applied to the exact law of sqrt(eps) W_1 >= 1.
 
     Closed form, no simulation: the ladder points are (eps, Phi(-1/sqrt(eps)),
-    n_paths) for eps in ``_GAUSS_LADDER``.  There the Mills-ratio prefactor of
+    _N_PATHS) for eps in ``_GAUSS_LADDER``.  There the Mills-ratio prefactor of
     the Gaussian tail makes this about -0.600 rather than the eps -> 0 limit
     -1/2.
     """
     from scipy.special import ndtr
 
-    ladder = [(eps, float(ndtr(-1.0 / np.sqrt(eps))), n_paths) for eps in _GAUSS_LADDER]
+    ladder = [(eps, float(ndtr(-1.0 / np.sqrt(eps))), _N_PATHS) for eps in _GAUSS_LADDER]
     return fit_slope(ladder)[0]
 
 
-def gate_gaussian_slope(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
+def gate_gaussian_slope(seed=2024):
     """Pure-noise terminal tail: Monte Carlo slope against the exact-law fit.
 
     The slope fitted to the simulated ladder must lie within 10% of the slope
@@ -275,8 +275,8 @@ def gate_gaussian_slope(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
     gap ``limit_gap = reference_slope + 0.5`` in view, and criterion 11
     checks the rate 1/2 itself as a large-deviations bound.
     """
-    est = memo_ladder("brownian-1d", _TAIL, _GAUSS_LADDER, n_paths, n_steps, seed)
-    reference = gaussian_reference_slope(n_paths)
+    est = memo_ladder("brownian-1d", _TAIL, _GAUSS_LADDER, _N_PATHS, _N_STEPS, seed)
+    reference = gaussian_reference_slope()
     limit = -0.5
     rel = abs(est.slope - reference) / abs(reference)
     ok = rel <= 0.10
@@ -287,10 +287,10 @@ def gate_gaussian_slope(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
                        "p_hats": [pt.p_hat for pt in est.ladder]})
 
 
-def gate_singular_insensitivity(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
+def gate_singular_insensitivity(seed=2024):
     """Slope with and without the vanishing singular drift term must agree."""
-    with_b2, without = (memo_ladder("dini-tanhlog-1d", _TAIL, _GAUSS_LADDER, n_paths,
-                                    n_steps, seed, with_singular=flag)
+    with_b2, without = (memo_ladder("dini-tanhlog-1d", _TAIL, _GAUSS_LADDER, _N_PATHS,
+                                    _N_STEPS, seed, with_singular=flag)
                         for flag in (True, False))
     diff = abs(with_b2.slope - without.slope)
     combined = np.hypot(with_b2.slope_stderr, without.slope_stderr)
@@ -302,18 +302,18 @@ def gate_singular_insensitivity(seed=2024, n_paths=_N_PATHS, n_steps=_N_STEPS):
                        "rel": rel})
 
 
-def gate_degenerate_slope(seed=2024, n_paths=_DEGEN_PATHS, n_steps=_N_STEPS):
+def gate_degenerate_slope(seed=2024):
     """Noise-only-in-Y system: Y-marginal slope vs. the minimized rate."""
     problem = load_problem("hamiltonian-2d")
-    est = memo_ladder("hamiltonian-2d", _Y_TAIL, _DEGEN_LADDER, n_paths, n_steps, seed)
+    est = memo_ladder("hamiltonian-2d", _Y_TAIL, _DEGEN_LADDER, _DEGEN_PATHS, _N_STEPS, seed)
     rate = memo_solve("hamiltonian-2d", _Y_TAIL, 32, 4, seed)
     rel = abs(est.slope - (-rate.value)) / rate.value
 
     # X-block must be noise-free: single-step moves bounded by the drift alone
-    path = simulate_degenerate(problem, eps=1.0 / 16, n_steps=n_steps, seed=seed)
+    path = simulate_degenerate(problem, eps=1.0 / 16, n_steps=_N_STEPS, seed=seed)
     dx = np.abs(np.diff(path.states[:, 0]))
     bbar_sup = float(np.max(np.abs(path.states[:, 1])))  # |bbar(x,y)| = |y|
-    dt = problem.horizon_T / n_steps
+    dt = problem.horizon_T / _N_STEPS
     noise_free = bool(np.max(dx) <= bbar_sup * dt + 1e-12)
     ok = rel <= 0.15 and noise_free
     return GateReport("degenerate_slope", ok,

@@ -439,7 +439,7 @@ class TransformedSde:
     @property
     def n_quiet(self):
         """Leading noise-free coordinates left unchanged by theta (d1, or 0)."""
-        return self.base.state_dim - self.base.noisy_dim
+        return self.base.n_quiet
 
     def start(self):
         x0, q = self.base.start, self.n_quiet

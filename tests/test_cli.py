@@ -81,11 +81,27 @@ def _brownian_variant(tmp_path, old, new):
     return str(path)
 
 
-@pytest.mark.parametrize("verb", ["validate", "simulate"])
+_INVALID_NUMBERS = [
+    ("box_hi = 6.0", "box_hi = inf", "finite"),
+    ("horizon = 1.0", "horizon = nan", "horizon_T"),
+    ("horizon = 1.0", "horizon = inf", "horizon_T"),
+    ("ellipticity_K = 2.0", "ellipticity_K = inf", "ellipticity_K"),
+    ("lipschitz_L = 1.0", "lipschitz_L = nan", "lipschitz_L"),
+    ("start = 0.0", "start = nan", "start"),
+    ("start = 0.0", "start = 0 0", "start"),
+    ("start = 0.0", "start = 9.0", "inside the working box"),
+]
+
+
+@pytest.mark.parametrize("verb", ["validate", "simulate", "zvonkin", "rate", "ldp"])
 def test_infinite_box_exit_2(tmp_path, capsys, verb):
-    bad = _brownian_variant(tmp_path, "box_hi = 6.0", "box_hi = inf")
-    assert main([verb, "--problem", bad, "--out", str(tmp_path / "o")]) == 2
-    assert "finite" in capsys.readouterr().err
+    """Non-finite numbers, and a start of the wrong length or off the working
+    box, are refused when the file is read, whatever the verb."""
+    for old, new, needle in _INVALID_NUMBERS:
+        bad = _brownian_variant(tmp_path, old, new)
+        assert main([verb, "--problem", bad, "--out", str(tmp_path / "o")]) == 2, new
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem file invalid") and needle in err, (new, err)
 
 
 def test_field_outside_domain_exit_2(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import tracemalloc
+import warnings
 from importlib.resources import files
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ldplab import ldp
 from ldplab.action import ball_target, half_space_target
-from ldplab.ldp import (EventSpec, bound_check, estimate_probability,
-                        fit_slope, ldp_experiment, terminal_event, wilson_interval)
+from ldplab.ldp import (bound_check, estimate_probability, fit_slope, ldp_experiment,
+                        terminal_event, wilson_interval)
 from ldplab.problems import load_problem
 from ldplab.simulate import NoiseStream, brownian_increments, dynamics, euler
 from ldplab.verify import gaussian_reference_slope
@@ -34,11 +36,6 @@ def test_wilson_coverage():
     assert covered >= 93
 
 
-def test_event_spec_validation():
-    with pytest.raises(ValueError):
-        EventSpec(target=ball_target([0.0]), open_or_closed="maybe")
-
-
 def test_estimate_whole_space_and_empty():
     problem = load_problem("brownian-1d")
     everything = terminal_event(ball_target([0.0], radius=100.0))
@@ -59,15 +56,17 @@ def test_estimate_matches_gaussian_law():
     assert pt.escapes == 0
 
 
-def test_estimate_reproducible_across_chunking():
+def test_estimate_reproducible_across_chunking(monkeypatch):
     problem = load_problem("brownian-1d")
     event = terminal_event(half_space_target([1.0], 0.5))
-    a = estimate_probability(problem, event, 0.5, 1000, 32, seed=3, chunk=100)
-    b = estimate_probability(problem, event, 0.5, 1000, 32, seed=3, chunk=1000)
+    monkeypatch.setattr(ldp, "_CHUNK", 100)
+    a = estimate_probability(problem, event, 0.5, 1000, 32, seed=3)
+    monkeypatch.setattr(ldp, "_CHUNK", 1000)
+    b = estimate_probability(problem, event, 0.5, 1000, 32, seed=3)
     assert a.hits == b.hits
 
 
-def test_streamed_point_equals_euler_over_increments(tmp_path):
+def test_streamed_point_equals_euler_over_increments(tmp_path, monkeypatch):
     """A ladder point streamed in chunks of 300 paths (not a multiple of the
     256-path key block) has the hits, escapes and final states of ``euler``
     over the collected ``brownian_increments`` of all its paths, bit for bit."""
@@ -79,8 +78,8 @@ def test_streamed_point_equals_euler_over_increments(tmp_path):
     event = terminal_event(half_space_target([1.0], 0.5))
     n_paths, n_steps, seed, point, chunk = 1000, 40, 6, 3, 300
     dt = problem.horizon_T / n_steps
-    pt = estimate_probability(problem, event, 1.0, n_paths, n_steps, seed, point_index=point,
-                              chunk=chunk)
+    monkeypatch.setattr(ldp, "_CHUNK", chunk)
+    pt = estimate_probability(problem, event, 1.0, n_paths, n_steps, seed, point_index=point)
     dyn = dynamics(problem, 1.0)
     z, alive, _ = euler(dyn, brownian_increments(seed, range(n_paths), n_steps, 1, dt,
                                                  point=point))
@@ -93,10 +92,11 @@ def test_streamed_point_equals_euler_over_increments(tmp_path):
         assert np.array_equal(alive_s, alive[lo:hi])
 
 
-def test_streamed_point_times_drawing_and_stepping():
+def test_streamed_point_times_drawing_and_stepping(monkeypatch):
     problem = load_problem("brownian-1d")
     event = terminal_event(half_space_target([1.0], 1.0))
-    pt = estimate_probability(problem, event, 0.5, 1000, 64, seed=1, chunk=300)
+    monkeypatch.setattr(ldp, "_CHUNK", 300)
+    pt = estimate_probability(problem, event, 0.5, 1000, 64, seed=1)
     assert pt.noise_s > 0.0 and pt.step_s > 0.0
 
 
@@ -147,7 +147,7 @@ def test_fit_slope_gaussian_ladder_bias():
     slope, _ = fit_slope(ladder)
     assert -0.65 <= slope <= -0.55
     # criterion 7 compares its Monte Carlo slope with this same exact-law fit
-    assert gaussian_reference_slope(n) == pytest.approx(slope, abs=1e-12)
+    assert gaussian_reference_slope() == pytest.approx(slope, abs=1e-12)
 
 
 def test_fit_slope_drops_degenerate_points():
@@ -157,6 +157,20 @@ def test_fit_slope_drops_degenerate_points():
     assert slope < 0
     with pytest.raises(ValueError):
         fit_slope([(1.0, 0.3), (0.5, 0.1), (0.25, 0.0)])
+
+
+@pytest.mark.parametrize("eps", [-0.5, np.nan, 1.5])
+def test_ladders_refuse_eps_outside_unit_interval(eps):
+    """Checked once, where the dynamics are built: no sqrt warning, no
+    'all paths escaped', and no ladder above eps = 1."""
+    problem = load_problem("brownian-1d")
+    event = terminal_event(half_space_target([1.0], 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+            estimate_probability(problem, event, eps, 200, 16, seed=0)
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+            ldp_experiment(problem, event, (1.0, eps, 0.25), 200, 16, seed=0)
 
 
 def test_ldp_experiment_shares_noise_across_toggle():

@@ -2,6 +2,7 @@
 report the benchmark reads."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -58,27 +59,52 @@ def test_crashed_gate_keeps_traceback(monkeypatch):
     assert other.name == "dini_classification" and other.passed
 
 
-def test_bench_coupling_check_reads_gate_report(monkeypatch):
+def _bench_module(monkeypatch, name):
+    """``bench/<name>.py`` loaded without writing bytecode into bench/."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_coupling_check_reads_gate_report(monkeypatch):
+    workloads = _bench_module(monkeypatch, "workloads")
     workloads.TransformCoupling()
     workloads.MinAction()
     checks = workloads.TransformCoupling.check({"coupling": verify.gate_ito_conjugacy()})
     assert checks and all(ok for _, ok, _ in checks), checks
 
 
+def test_bench_workload_calls_bind(monkeypatch):
+    """Every step of the three benchmark workloads calls ldplab with arguments
+    that bind to the real signatures.  The calls are stubbed, so nothing is
+    simulated or solved: a signature change that would crash a benchmark run
+    fails here instead."""
+    workloads = _bench_module(monkeypatch, "workloads")
+    # ``from ldplab import action`` would give the function that shadows the module
+    action, ldp = (importlib.import_module(f"ldplab.{m}") for m in ("action", "ldp"))
+    called = []
+    for module, name in [(ldp, "estimate_probability"), (ldp, "ldp_experiment"),
+                         (verify, "gate_ito_conjugacy"), (action, "minimize_rate"),
+                         (action, "rate_via_transform")]:
+        def stub(*args, _sig=inspect.signature(getattr(module, name)), _name=name, **kwargs):
+            _sig.bind(*args, **kwargs)
+            called.append(_name)
+        monkeypatch.setattr(module, name, stub)
+    for workload in workloads.WORKLOADS.values():
+        for _, _, call in workload().steps(0):
+            call()
+    assert sorted(set(called)) == ["estimate_probability", "gate_ito_conjugacy",
+                                   "ldp_experiment", "minimize_rate", "rate_via_transform"]
+
+
 def test_bench_traced_calls_resolve(monkeypatch):
     """Every call the benchmark's tracer wraps exists under its traced name, so
     a rename in ldplab fails here rather than in a traced benchmark run."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module(monkeypatch, "tracing")
     for mod_name, attr in tracing.TRACED:
         obj = importlib.import_module(f"ldplab.{mod_name}")
         for part in attr.split("."):
