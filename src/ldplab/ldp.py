@@ -10,6 +10,7 @@ is streamed into the stepper slice by slice and is never held whole.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -33,6 +34,8 @@ __all__ = [
 
 _CHUNK = 32768                 # paths stepped together at one ladder point
 _Z95 = 1.959963984540054       # two-sided 95% normal quantile of the Wilson interval
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,8 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
                          with_singular=True, point_index=0):
     """Monte Carlo event probability with Wilson 95% interval, escape count
     and the wall time spent drawing noise (the slice draws of each chunk's
-    stream) and stepping paths (the rest)."""
+    stream) and stepping paths (the rest).  Each point is logged at DEBUG
+    level to this module's logger."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
@@ -145,6 +149,8 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
         step_s += perf_counter() - t0 - noise.draw_s
         hits += int(np.sum(hit_mask & ~esc_mask))
         escapes += int(np.sum(esc_mask))
+    _log.debug("ladder point eps=%r n_paths=%d hits=%d escapes=%d noise_s=%.4f step_s=%.4f",
+               float(eps), n_paths, hits, escapes, noise_s, step_s)
     if escapes == n_paths:
         raise RuntimeError("all paths escaped the working box")
     p_hat = hits / n_paths

@@ -362,7 +362,19 @@ class SdeProblem:
     Bbar: DriftFamily | None = None            # R^{d1+d2} -> R^{d2}
     dims: tuple = ()                           # (n,) or (d1, d2)
 
+    @staticmethod
+    def check_dims(layout, dims):
+        """ValueError unless ``layout`` is known and ``dims`` lists one block
+        size for it, (n,), or two, (d1, d2)."""
+        n_blocks = {"nondegenerate": 1, "degenerate": 2}.get(layout)
+        if n_blocks is None:
+            raise ValueError(f"unknown layout {layout!r}")
+        if len(dims) != n_blocks:
+            raise ValueError(f"dims must list {n_blocks} block size(s) in the {layout} "
+                             f"layout, got {tuple(dims)}")
+
     def __post_init__(self):
+        self.check_dims(self.layout, self.dims)
         if not 0 < self.horizon_T < math.inf:
             raise ValueError(f"horizon_T must lie in (0, inf), got {self.horizon_T}")
         if not 1 < self.ellipticity_K < math.inf:
@@ -373,15 +385,13 @@ class SdeProblem:
             (n,) = self.dims
             if self.diffusion is None or self.diffusion.out_dim != n:
                 raise ValueError("diffusion must be square of the state dimension")
-        elif self.layout == "degenerate":
+        else:
             d1, d2 = self.dims
             if self.diffusion is None or self.diffusion.out_dim != d2 \
                     or self.diffusion.in_dim != d2:
                 raise ValueError("degenerate diffusion must be d2 x d2 and depend on y only")
             if self.singular_drift is not None and self.singular_drift.in_dim != d2:
                 raise ValueError("degenerate singular drift acts on the noisy block only")
-        else:
-            raise ValueError(f"unknown layout {self.layout!r}")
         if self.singular_drift is not None and self.singular_drift.declared_modulus is None:
             raise ValueError("singular drift needs a declared modulus")
         start = np.asarray(self.start, dtype=float)   # the box is finite: NaN, inf lie outside

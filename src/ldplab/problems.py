@@ -21,10 +21,13 @@ __all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems",
 # Field registry
 
 def _phi_log(r, beta):
-    """log(1 + 1/r)^(-beta) for r >= 0, beta > 0; at r = 0, 1/r = inf and
-    the value is exactly 0."""
-    with np.errstate(divide="ignore"):
-        return np.log1p(1.0 / np.asarray(r, dtype=float)) ** -beta
+    """log(1 + 1/r)^(-beta) for r >= 0, beta > 0, as a new array; where 1/r
+    is inf (r = 0 or subnormal) the value is exactly 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        phi = np.divide(1.0, r)
+    np.log1p(phi, out=phi)
+    phi **= -beta
+    return phi
 
 
 def _zero(in_dim, out_dim):
@@ -78,8 +81,11 @@ def _tanhlog_dini(beta=2.0, gain=3.0, bound=1.0):
     """
 
     def func(x):
-        r = np.abs(x[:, 0])
-        return (np.tanh(gain * x[:, 0]) * np.minimum(bound, _phi_log(r, beta)))[:, None]
+        cap = _phi_log(np.abs(x[:, 0]), beta)
+        np.minimum(bound, cap, out=cap)
+        sign = np.multiply(gain, x[:, 0])
+        np.tanh(sign, out=sign)
+        return np.multiply(sign, cap, out=sign)[:, None]
 
     mod = Modulus.from_expression(
         f"min({bound}, log(1 + 1/t)^(-{beta})) + {gain}*t")
@@ -227,6 +233,7 @@ def parse_problem_text(text, name_hint=""):
     prob = cp["problem"]
     layout = prob.get("layout", "nondegenerate").strip()
     dims = tuple(int(d) for d in prob["dims"].split())
+    SdeProblem.check_dims(layout, dims)
     state_dim = sum(dims)
     name = prob.get("name", name_hint).strip()
     horizon = float(prob.get("horizon", "1.0"))
@@ -239,7 +246,7 @@ def parse_problem_text(text, name_hint=""):
     hi = float(prob.get("box_hi", "5.0"))
     box = Box.of(np.full(state_dim, lo), np.full(state_dim, hi))
 
-    noisy = dims[0] if layout == "nondegenerate" else dims[1]
+    noisy = dims[-1]            # the noisy block comes last in either layout
     diffusion = parse_field_spec(cp["diffusion"]["field"], noisy, noisy, matrix=True)
     if diffusion.matrix is False:
         raise ValueError("diffusion must be matrix-valued")

@@ -369,3 +369,17 @@ def test_import_loads_no_scipy_submodule(code, lazy):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("layout = nondegenerate", "layout = degenerate", "dims must list 2 block size(s)"),
+    ("layout = nondegenerate", "layout = sideways", "unknown layout 'sideways'"),
+])
+def test_layout_and_dims_checked_before_use(tmp_path, capsys, old, new, needle):
+    """A layout the file does not know, or a dims line that does not match
+    its layout, exits 2 with one error line instead of an IndexError."""
+    bad = _brownian_variant(tmp_path, old, new)
+    assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem file invalid") and needle in err, err
+    assert "Traceback" not in err

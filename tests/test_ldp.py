@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 import warnings
 from importlib.resources import files
@@ -92,6 +93,25 @@ def test_streamed_point_equals_euler_over_increments(tmp_path, monkeypatch):
         assert np.array_equal(alive_s, alive[lo:hi])
 
 
+def test_ladder_points_logged_at_debug_only(caplog):
+    """Each ladder point makes one DEBUG record on ``ldplab.ldp`` with its
+    counts and times; at the default level nothing is recorded."""
+    problem = load_problem("brownian-1d")
+    event = terminal_event(half_space_target([1.0], 0.5))
+    ladder = (1.0, 0.5, 0.25)
+    ldp_experiment(problem, event, ladder, 400, 16, seed=3)
+    assert not [r for r in caplog.records if r.name == "ldplab.ldp"]
+    caplog.set_level(logging.DEBUG, logger="ldplab.ldp")
+    est = ldp_experiment(problem, event, ladder, 400, 16, seed=3)
+    records = [r for r in caplog.records if r.name == "ldplab.ldp"]
+    assert len(records) == len(ladder)
+    for record, pt in zip(records, est.ladder):
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"eps={pt.eps!r}" in message and f"hits={pt.hits} " in message
+        assert all(f" {key}=" in message for key in ("n_paths", "escapes", "noise_s", "step_s"))
+
+
 def test_streamed_point_times_drawing_and_stepping(monkeypatch):
     problem = load_problem("brownian-1d")
     event = terminal_event(half_space_target([1.0], 1.0))
@@ -101,7 +121,7 @@ def test_streamed_point_times_drawing_and_stepping(monkeypatch):
 
 
 def test_ladder_point_never_holds_its_increments():
-    """One brownian-1d point of 32768 paths x 256 steps peaks below 16 MiB of
+    """One brownian-1d point of 32768 paths x 256 steps peaks below 8 MiB of
     traced allocations; its whole (32768, 256, 1) increment batch is 64 MiB."""
     problem = load_problem("brownian-1d")
     event = terminal_event(half_space_target([1.0], 1.0))
@@ -111,7 +131,7 @@ def test_ladder_point_never_holds_its_increments():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_estimate_leaves_event_unchanged():

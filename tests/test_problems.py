@@ -40,7 +40,7 @@ def test_registry_wrong_type_names_field(name, params):
 
 def test_phi_log_equals_masked_formula():
     """``np.log1p(1/r) ** -beta`` equals the masked formula bit for bit, 0 at
-    r = 0 included."""
+    r = 0 included, without writing into ``r``."""
     tiny = np.finfo(float).tiny
     r = np.concatenate([[0.0, 5e-324, 1e-320, tiny / 2, tiny], np.logspace(-300, 300, 1201),
                         [1.0, 1e308, np.finfo(float).max]])
@@ -49,8 +49,9 @@ def test_phi_log_equals_masked_formula():
         pos = r > 0
         with np.errstate(over="ignore"):   # 1/r overflows to inf for subnormal r
             old[pos] = np.log1p(1.0 / r[pos]) ** (-beta)
-            new = _phi_log(r, beta)
-        assert new.tobytes() == old.tobytes()
+        before = r.tobytes()
+        new = _phi_log(r, beta)
+        assert new.tobytes() == old.tobytes() and r.tobytes() == before
 
 
 def test_registry_unknown_name():

@@ -3,7 +3,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from ldplab import zvonkin
+from ldplab import simulate, zvonkin
 from ldplab.expr import EvaluationError
 from ldplab.model import VectorField
 from ldplab.problems import load_problem, parse_problem_text
@@ -52,7 +52,8 @@ def test_batched_increments_equal_per_path_streams(dim):
             assert np.array_equal(row, expected[i])
     stream = NoiseStream(seed, [599, 0], n_steps, dim, dt, point=point)
     parts = [part.copy() for part in stream]
-    assert [len(part) for part in parts[:-1]] == [32 // dim] * (len(parts) - 1)
+    assert [len(part) for part in parts[:-1]] == ([simulate._NOISE_SLICE // dim]
+                                                  * (len(parts) - 1))
     assert np.array_equal(np.concatenate(parts), np.stack([expected[599], expected[0]], axis=1))
     assert stream.draw_s > 0
 
@@ -315,3 +316,98 @@ def test_non_finite_drift_marks_row_escaped():
     assert 0.5 < z[0, 0] < 0.6 and np.all(np.isfinite(path))
     with pytest.raises(EvaluationError):
         blowup(np.array([[1.0]]))
+
+
+def _reference_euler(problem, dyn, increments):
+    """The batched step written out from the problem's fields: a drift sum
+    (a concatenate in the degenerate layout), ``z + drift * dt``,
+    ``sqrt_eps * apply_noise(sigma, dw)`` and ``np.where``."""
+    eps, q = dyn.eps, dyn.n_quiet
+    b2 = problem.singular_drift.func if problem.singular_drift and eps != 0.0 else None
+
+    def drift_of(z):
+        if q == 0:
+            out = problem.drift.at(eps).func(z)
+            return out if b2 is None else out + eps * b2(z)
+        vy = problem.Bbar.at(eps).func(z)
+        if b2 is not None:
+            vy = vy + eps * b2(z[:, q:])
+        return np.concatenate([problem.bbar.at(eps).func(z), vy], axis=1)
+
+    B, n_steps = increments.shape[:2]
+    dt, sqrt_eps = dyn.horizon / n_steps, np.sqrt(eps)
+    z = np.tile(dyn.x0, (B, 1))
+    alive = np.ones(B, dtype=bool)
+    path = np.empty((B, n_steps + 1, z.shape[1]))
+    path[:, 0] = z
+    for k in range(n_steps):
+        if not alive.any():
+            path[:, k + 1:] = z[:, None, :]
+            break
+        _, sigma = dyn.coefficients(z)
+        step = z + drift_of(z) * dt
+        if eps != 0.0:
+            step[:, q:] += sqrt_eps * apply_noise(sigma, increments[:, k])
+        alive &= dyn.inside(step)
+        z = np.where(alive[:, None], step, z)
+        path[:, k + 1] = z
+    return z, alive, path
+
+
+def _watch_fields(problem, calls):
+    """Wrap every field of ``problem`` so that each call records its output
+    and checks that the field left its input batch as it was."""
+    fields = [problem.diffusion, problem.singular_drift]
+    families = [problem.drift] if problem.layout == "nondegenerate" else [problem.bbar,
+                                                                         problem.Bbar]
+    for field in [f for f in fields if f is not None] + [fam.limit for fam in families]:
+        def watched(x, func=field.func):
+            before = x.tobytes()
+            out = func(x)
+            assert x.tobytes() == before
+            if not np.shares_memory(out, x):
+                calls.append((out, out.copy()))
+            return out
+        field.func = watched
+
+
+@pytest.mark.parametrize("name", ["brownian-1d", "dini-tanhlog-1d", "hamiltonian-2d",
+                                  "plane-tanh_iso", "plane-scaled"])
+@pytest.mark.parametrize("source", ["array", "stream"])
+def test_euler_equals_composed_step(tmp_path, name, source):
+    """The stepper's step equals the one written out bit for bit, on a
+    narrowed box where some rows escape, driven by an array or by a stream
+    over non-aligned, unordered paths; it leaves x0, the increments and
+    every array a field returned unchanged."""
+    if name == "plane-scaled":
+        problem = parse_problem_text(_PLANE.format("identity_matrix(scale=3.0)"))
+    elif name == "plane-tanh_iso":
+        problem = parse_problem_text(_PLANE.format("tanh_iso").replace("3.0", "1.5"))
+    else:
+        narrow = tmp_path / "narrow.ini"
+        narrow.write_text((files("ldplab") / "problems" / f"{name}.ini").read_text()
+                          .replace("box_lo = -6.0", "box_lo = -1.5")
+                          .replace("box_hi = 6.0", "box_hi = 1.5"))
+        problem = load_problem(str(narrow))
+    paths = np.r_[600:640, 5, 300, 7, 256:270]      # whole, sliced and scattered blocks
+    n_steps, seed, point = 50, 11, 3
+    dt = problem.horizon_T / n_steps
+    inc = brownian_increments(seed, paths, n_steps, problem.noisy_dim, dt, point=point)
+    for row, i in zip(inc, paths):
+        assert np.array_equal(row, _block_rows(seed, point, i, n_steps, problem.noisy_dim, dt))
+    inc_bytes = inc.tobytes()
+    calls = []
+    _watch_fields(problem, calls)
+    dyn = dynamics(problem, 1.0)
+    x0 = dyn.x0.copy()
+    noise = inc if source == "array" else NoiseStream(seed, paths, n_steps,
+                                                      problem.noisy_dim, dt, point=point)
+    z, alive, path = euler(dyn, noise, keep_path=True)
+    z_only, alive_only, _ = euler(dyn, noise)
+    assert inc.tobytes() == inc_bytes and dyn.x0.tobytes() == x0.tobytes()
+    assert calls and all(out.tobytes() == kept.tobytes() for out, kept in calls)
+    z_ref, alive_ref, path_ref = _reference_euler(problem, dyn, inc)
+    assert 0 < np.sum(~alive) < len(paths)
+    assert alive.tobytes() == alive_ref.tobytes() == alive_only.tobytes()
+    assert z.tobytes() == z_ref.tobytes() == z_only.tobytes()
+    assert path.tobytes() == path_ref.tobytes()
