@@ -5,7 +5,9 @@ counter-based noise: the increments of path ``i`` at ladder point ``j``
 depend only on (seed, j, i) (Philox keyed by (seed, j * 2**32 + i // 256)),
 so estimates are byte-for-byte reproducible for any chunking, and runs with
 and without the singular drift share their noise exactly.  A chunk's noise
-is streamed into the stepper slice by slice and is never held whole.
+is streamed into the stepper slice by slice and is never held whole; it is
+drawn on two worker threads, one slice ahead of the stepper, which calls
+the fields from the caller's thread only.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ class LadderPoint:
     ci_lo: float
     ci_hi: float
     escapes: int = 0
-    noise_s: float = field(default=0.0, compare=False)   # wall time drawing increments
-    step_s: float = field(default=0.0, compare=False)    # wall time stepping the paths
+    # time drawing increments, summed over the drawing threads (may exceed the wall time)
+    noise_s: float = field(default=0.0, compare=False)
+    # wall time stepping the paths: the point's wall time less its waits for noise
+    step_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -129,9 +133,10 @@ def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True
 def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
                          with_singular=True, point_index=0):
     """Monte Carlo event probability with Wilson 95% interval, escape count
-    and the wall time spent drawing noise (the slice draws of each chunk's
-    stream) and stepping paths (the rest).  Each point is logged at DEBUG
-    level to this module's logger."""
+    and the time spent drawing noise (the slice draws of each chunk's stream,
+    summed over its drawing threads) and the wall time spent stepping paths
+    (the rest, less the stepper's waits for a slice).  Each point is logged
+    at DEBUG level to this module's logger."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
@@ -146,7 +151,7 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
         noise = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
         hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, noise, with_singular)
         noise_s += noise.draw_s
-        step_s += perf_counter() - t0 - noise.draw_s
+        step_s += perf_counter() - t0 - noise.wait_s
         hits += int(np.sum(hit_mask & ~esc_mask))
         escapes += int(np.sum(esc_mask))
     _log.debug("ladder point eps=%r n_paths=%d hits=%d escapes=%d noise_s=%.4f step_s=%.4f",

@@ -13,13 +13,19 @@ and path i's row is column i % 256 of that draw.  A row is therefore a pure
 function of (seed, ladder point, path index), whatever the batch, chunk or
 order in which it is drawn; increments can be block-summed to couple
 refinements of the time grid.  ``NoiseStream`` draws a batch slice by slice,
-so that the stepper can consume it without holding it whole;
-``brownian_increments`` collects the same slices into one array.
+so that the stepper can consume it without holding it whole, and draws a
+batch of several blocks on two worker threads, one slice ahead of the
+stepper, with the same values; ``brownian_increments`` collects the same
+slices into one array.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass
+from queue import SimpleQueue
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -80,13 +86,25 @@ class NoiseStream:
     without holding it whole.
 
     Iterating yields the batch in time-major slices (s, len(paths), dim) of
-    ``_NOISE_SLICE // dim`` steps (at least one), in order; each slice is one
-    reused array, valid until the next is drawn.  Every block of paths keeps
-    its own generator, keyed exactly from a uint64 array
-    (seed, point * 2**32 + block), and draws each slice into one reused
-    buffer of at most 16 KiB (for dim <= 8), so a block drawn in slices
-    gives the values of one whole (n_steps, 256, dim) draw.  Each iteration
-    starts the streams afresh; ``draw_s`` sums the wall time spent drawing.
+    ``_NOISE_SLICE // dim`` steps (at least one), in order; a slice is valid
+    until the next one is requested.  Every block of paths keeps its own
+    generator, keyed exactly from a uint64 array (seed, point * 2**32 +
+    block), and draws each slice into a reused buffer of at most 16 KiB (for
+    dim <= 8), so a block drawn in slices gives the values of one whole
+    (n_steps, 256, dim) draw; sqrt(dt) is applied as its columns are copied
+    into the slice.
+
+    A stream of two or more blocks, in a process that may run on two or
+    more CPUs, is drawn one slice ahead on two worker threads, each over one
+    contiguous half of the blocks, into the other of two slice buffers
+    while the caller reads the current one.  Both threads start with the
+    iteration and are joined when it ends or is closed.  A generator is
+    used by one thread, in slice order, so the values are those of the
+    inline draw, which a one-block stream or a single CPU uses.  Each
+    iteration starts the streams afresh.  ``draw_s`` sums the time spent
+    drawing (over both workers, so it may exceed the wall time); ``wait_s``
+    is the caller's time blocked on a slice (the whole drawing time when
+    drawn inline).
 
     The key words must lie in range, else ``ValueError``: seed in
     [0, 2**64), point in [0, 2**32) and path indices in [0, 2**40).
@@ -106,6 +124,7 @@ class NoiseStream:
         self.shape = (len(self.paths), n_steps, dim)
         self.dt = dt
         self.draw_s = 0.0
+        self.wait_s = 0.0
 
     def __iter__(self):
         n, n_steps, dim = self.shape
@@ -118,19 +137,97 @@ class NoiseStream:
             draws.append((np.random.Generator(np.random.Philox(key=key)), _run(rows),
                           _run(self.paths[rows] % _NOISE_BLOCK)))
         steps = max(1, min(n_steps, _NOISE_SLICE // dim))
+        sizes = [min(steps, n_steps - k) for k in range(0, n_steps, steps)]
+        if sizes and len(draws) > 1 and _cpu_count() > 1:
+            return self._drawn_ahead(draws, steps, sizes)
+        return self._drawn_inline(draws, steps, sizes)
+
+    def _drawn_inline(self, draws, steps, sizes):
+        n, _, dim = self.shape
         buf = np.empty((steps, _NOISE_BLOCK, dim))
         out = np.empty((steps, n, dim))
         sqrt_dt = np.sqrt(self.dt)
-        for k in range(0, n_steps, steps):
-            t0 = perf_counter()
-            s = min(steps, n_steps - k)
-            part = out[:s]
-            for gen, rows, cols in draws:
-                gen.standard_normal(out=buf[:s])
-                part[:, rows] = buf[:s, cols]
-            part *= sqrt_dt
-            self.draw_s += perf_counter() - t0
-            yield part
+        for s in sizes:
+            elapsed = _draw_slice(draws, buf, out[:s], sqrt_dt)
+            self.draw_s += elapsed
+            self.wait_s += elapsed
+            yield out[:s]
+
+    def _drawn_ahead(self, draws, steps, sizes):
+        n, _, dim = self.shape
+        outs = [np.empty((steps, n, dim)) for _ in range(2)]
+        sqrt_dt = np.sqrt(self.dt)
+        done = SimpleQueue()      # each worker's seconds per slice, or its error
+        workers = []              # (thread, its queue of slices to draw)
+        try:
+            # both threads start here: an executor would start its second one
+            # only if the first were still busy, which depends on scheduling;
+            # daemons, so that a stream left suspended cannot hold up the exit
+            for half in draws[:len(draws) // 2], draws[len(draws) // 2:]:
+                todo = SimpleQueue()
+                buf = np.empty((steps, _NOISE_BLOCK, dim))
+                thread = threading.Thread(target=_draw_slices, daemon=True,
+                                          args=(half, buf, sqrt_dt, todo, done))
+                thread.start()
+                workers.append((thread, todo))
+
+            def submit(i):
+                part = outs[i % 2][:sizes[i]]
+                for _, todo in workers:
+                    todo.put(part)
+                return part
+
+            part = submit(0)
+            for i in range(len(sizes)):
+                t0 = perf_counter()
+                for _ in workers:
+                    elapsed = done.get()
+                    if isinstance(elapsed, BaseException):
+                        raise elapsed
+                    self.draw_s += elapsed
+                self.wait_s += perf_counter() - t0
+                current = part
+                if i + 1 < len(sizes):
+                    part = submit(i + 1)
+                yield current
+        finally:
+            for _, todo in workers:
+                todo.put(None)
+            for thread, _ in workers:
+                thread.join()
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one (not macOS or Windows), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_slices(draws, buf, sqrt_dt, todo, done):
+    """A drawing thread: draw into each slice taken from ``todo``, until
+    None, and put the seconds it took, or the error it raised, on ``done``."""
+    while (part := todo.get()) is not None:   # iter(todo.get, None) would compare arrays
+        try:
+            done.put(_draw_slice(draws, buf, part, sqrt_dt))
+        except BaseException as err:  # raised again in the caller's thread
+            done.put(err)
+
+
+def _draw_slice(draws, buf, part, sqrt_dt):
+    """Draw the next len(part) steps of each (generator, rows, columns) in
+    ``draws`` through ``buf`` and write them, times sqrt_dt, into the rows
+    of ``part``; returns the seconds it took."""
+    t0 = perf_counter()
+    buf = buf[:len(part)]
+    for gen, rows, cols in draws:
+        gen.standard_normal(out=buf)
+        if type(rows) is slice:
+            np.multiply(buf[:, cols], sqrt_dt, out=part[:, rows])
+        else:                     # a gather is a copy: ``out=`` would write into it
+            part[:, rows] = buf[:, cols] * sqrt_dt
+    return perf_counter() - t0
 
 
 def brownian_increments(seed, paths, n_steps, dim, dt, point=0):
@@ -280,21 +377,24 @@ def euler(dyn, increments, keep_path=False):
     path = np.empty((B, n_steps + 1, z.shape[1])) if keep_path else None
     if keep_path:
         path[:, 0] = z
-    for k, dw in enumerate(dw for part in slices for dw in part):
-        if not alive.any():
+    dws = (dw for part in slices for dw in part)
+    # closed on the way out, even by an error, which ends a stream's drawing threads
+    with closing(dws):
+        for k, dw in enumerate(dws):
+            if not alive.any():
+                if keep_path:
+                    path[:, k + 1:] = z[:, None, :]
+                break
+            drift, sigma = dyn.coefficients(z)
+            step = z + drift * dt
+            if dyn.eps != 0.0:
+                step[:, q:] += sqrt_eps * apply_noise(sigma, dw)
+            alive &= dyn.inside(step)
+            # step is a new array: while no row has escaped it is taken whole,
+            # which saves np.where's copy (about 8% of mc-ladder's wall_ref)
+            z = step if alive.all() else np.where(alive[:, None], step, z)
             if keep_path:
-                path[:, k + 1:] = z[:, None, :]
-            break
-        drift, sigma = dyn.coefficients(z)
-        step = z + drift * dt
-        if dyn.eps != 0.0:
-            step[:, q:] += sqrt_eps * apply_noise(sigma, dw)
-        alive &= dyn.inside(step)
-        # step is a new array: while no row has escaped it is taken whole,
-        # which saves np.where's copy (about 8% of mc-ladder's wall_ref)
-        z = step if alive.all() else np.where(alive[:, None], step, z)
-        if keep_path:
-            path[:, k + 1] = z
+                path[:, k + 1] = z
     return z, alive, path
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,9 @@ PICARD_MAX_ITERS = 60
 LAMBDA_GROWTH = 2.0     # ratio between consecutive lambdas of the ladder
 INVERSE_TOL = 1e-12     # step size that ends the theta^{-1} iteration
 INVERSE_MAX_ITERS = 200
+
+
+_log = logging.getLogger(__name__)
 
 
 class SolveFailure(RuntimeError):
@@ -353,7 +357,8 @@ class Lambda0Result:
 
 
 def find_lambda0(problem, resolution=257, lambda_start=1.0, max_doublings=20):
-    """Geometric lambda ladder; returns the first certified resolvent map."""
+    """Geometric lambda ladder; returns the first certified resolvent map.
+    Each lambda tried is logged at DEBUG level to this module's logger."""
     if not 0 < lambda_start < math.inf:
         raise ValueError(f"lambda_start must be a positive finite number, got {lambda_start}")
     if max_doublings < 0:
@@ -363,6 +368,8 @@ def find_lambda0(problem, resolution=257, lambda_start=1.0, max_doublings=20):
     for _ in range(max_doublings + 1):
         zmap = solve_resolvent(problem, lam, resolution=resolution)
         trail.append((lam, zmap.norms, zmap.norm_sum))
+        _log.debug("lambda=%g norm_sum=%.6g picard_iters=%d certified=%s",
+                   lam, zmap.norm_sum, zmap.picard_iters, zmap.certified)
         if zmap.certified:
             return Lambda0Result(lambda0=lam, map=zmap, trail=trail)
         lam *= LAMBDA_GROWTH

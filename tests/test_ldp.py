@@ -2,6 +2,7 @@ import logging
 import tracemalloc
 import warnings
 from importlib.resources import files
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -113,11 +114,16 @@ def test_ladder_points_logged_at_debug_only(caplog):
 
 
 def test_streamed_point_times_drawing_and_stepping(monkeypatch):
+    """``noise_s`` is the drawing time and ``step_s`` the point's wall time
+    less its waits for noise, so it lies within that wall time."""
     problem = load_problem("brownian-1d")
     event = terminal_event(half_space_target([1.0], 1.0))
     monkeypatch.setattr(ldp, "_CHUNK", 300)
+    t0 = perf_counter()
     pt = estimate_probability(problem, event, 0.5, 1000, 64, seed=1)
-    assert pt.noise_s > 0.0 and pt.step_s > 0.0
+    wall = perf_counter() - t0
+    assert pt.noise_s > 0.0
+    assert 0.0 < pt.step_s <= wall
 
 
 def test_ladder_point_never_holds_its_increments():

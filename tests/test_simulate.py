@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+import threading
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ldplab import simulate, zvonkin
+import ldplab
+from ldplab import ldp, simulate, zvonkin
+from ldplab.action import half_space_target
 from ldplab.expr import EvaluationError
+from ldplab.ldp import estimate_probability, terminal_event
 from ldplab.model import VectorField
 from ldplab.problems import load_problem, parse_problem_text
 from ldplab.simulate import (EscapeError, NoiseStream, apply_noise, brownian_increments,
@@ -56,6 +64,152 @@ def test_batched_increments_equal_per_path_streams(dim):
                                                   * (len(parts) - 1))
     assert np.array_equal(np.concatenate(parts), np.stack([expected[599], expected[0]], axis=1))
     assert stream.draw_s > 0
+
+
+def _cpus(monkeypatch, n):
+    """Make the process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _threads_while_streaming(stream):
+    """The slices of ``stream`` (copied) and the largest thread count seen
+    while they were read."""
+    parts, most = [], 0
+    for part in stream:
+        parts.append(part.copy())
+        most = max(most, threading.active_count())
+    return np.concatenate(parts), most
+
+
+def test_both_sides_of_the_drawing_selection_give_the_same_bits(monkeypatch):
+    """A 600-path stream (three blocks) gives the same bytes drawn inline on
+    one CPU and one slice ahead on two worker threads, for a scrambled list
+    of paths (gathers and scatters) and for a range (runs), also with the
+    threads switched every microsecond; on one CPU it starts no thread."""
+    seed, point, n_steps, dt = 2024, 2, 70, 1.0 / 70
+    scrambled = [599, 0, 256, 255, *range(1, 255), *range(257, 599)]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    try:
+        for paths, switch in ((scrambled, interval), (range(600), interval), (scrambled, 1e-6)):
+            sys.setswitchinterval(switch)
+            _cpus(monkeypatch, 1)
+            inline, most_inline = _threads_while_streaming(
+                NoiseStream(seed, paths, n_steps, 1, dt, point=point))
+            _cpus(monkeypatch, 2)
+            ahead, most_ahead = _threads_while_streaming(
+                NoiseStream(seed, paths, n_steps, 1, dt, point=point))
+            assert most_inline == before and most_ahead == before + 2
+            assert inline.tobytes() == ahead.tobytes()
+            for row, i in ((0, paths[0]), (1, paths[1]), (-1, paths[-1])):
+                assert np.array_equal(ahead[:, row], _block_rows(seed, point, i, n_steps, 1, dt))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_drawing_selection_without_an_affinity_set(monkeypatch):
+    """Where the platform has no CPU affinity set (macOS, Windows), the
+    selection counts all CPUs, and both sides give the same bytes."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    seed, point, n_steps, dt = 5, 1, 40, 1.0 / 40
+    before = threading.active_count()
+    drawn = {}
+    for n in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        drawn[n], most = _threads_while_streaming(NoiseStream(seed, range(600), n_steps, 1, dt,
+                                                              point=point))
+        assert most == before + (n - 1) * 2
+    assert drawn[1].tobytes() == drawn[2].tobytes()
+    assert threading.active_count() == before
+
+
+def test_a_drawing_thread_error_is_raised_in_the_caller(monkeypatch):
+    """An error in a drawing thread is raised where the slice is awaited,
+    and both threads are joined."""
+    _cpus(monkeypatch, 2)
+    draw_slice = simulate._draw_slice
+    main = threading.main_thread()
+
+    def failing(draws, buf, part, sqrt_dt):
+        if threading.current_thread() is not main and failing.calls == 3:
+            raise MemoryError("no room for the slice")
+        failing.calls += 1
+        return draw_slice(draws, buf, part, sqrt_dt)
+
+    failing.calls = 0
+    monkeypatch.setattr(simulate, "_draw_slice", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room"):
+        for _ in NoiseStream(0, range(600), 64, 1, 1.0 / 64):
+            pass
+    assert threading.active_count() == before
+
+
+def test_no_drawing_thread_outlives_an_iteration(monkeypatch, tmp_path):
+    """A stream closed after its first slice, a ladder point whose paths all
+    leave the box within a few steps (the stepper stops early and the point
+    raises) and a stepper whose field raises leave no thread behind, and the
+    slices they yielded are the fresh block draws."""
+    _cpus(monkeypatch, 2)
+    seed, n_steps, dt = 7, 64, 1.0 / 64
+    expected = np.stack([_block_rows(seed, 0, i, n_steps, 1, dt) for i in range(600)], axis=1)
+    before = threading.active_count()
+    stream = iter(NoiseStream(seed, range(600), n_steps, 1, dt))
+    first = next(stream).copy()
+    assert threading.active_count() == before + 2
+    stream.close()
+    assert threading.active_count() == before
+    assert first.tobytes() == expected[:len(first)].tobytes()
+
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+                      .replace("box_lo = -6.0", "box_lo = -0.05")
+                      .replace("box_hi = 6.0", "box_hi = 0.05"))
+    problem = load_problem(str(narrow))
+    seen, most = [], [0]
+
+    class Recording(NoiseStream):
+        def __iter__(self):
+            for part in super().__iter__():
+                seen.append(part.copy())
+                most[0] = max(most[0], threading.active_count())
+                yield part
+
+    monkeypatch.setattr(ldp, "NoiseStream", Recording)
+    event = terminal_event(half_space_target([1.0], 0.0))
+    with pytest.raises(RuntimeError, match="all paths escaped"):
+        estimate_probability(problem, event, 1.0, 600, n_steps, seed)
+    assert threading.active_count() == before and most[0] == before + 2
+    drawn = np.concatenate(seen)
+    assert len(drawn) < n_steps
+    assert drawn.tobytes() == expected[:len(drawn)].tobytes()
+
+    calls = []
+
+    def failing(z):
+        calls.append(1)
+        if len(calls) > 20:
+            raise ZeroDivisionError("field failed")
+        return dyn.coefficients(z)
+
+    dyn = dynamics(load_problem("brownian-1d"), 1.0)
+    # ``info`` holds the traceback, and with it euler's frame
+    with pytest.raises(ZeroDivisionError) as info:
+        euler(dyn._replace(coefficients=failing), NoiseStream(seed, range(600), n_steps, 1, dt))
+    assert str(info.value) == "field failed" and threading.active_count() == before
+
+
+def test_import_and_a_one_block_stream_start_no_thread():
+    code = ("import threading, ldplab\n"
+            "from ldplab.simulate import NoiseStream\n"
+            "n = threading.active_count()\n"
+            "seen = {threading.active_count() for _ in NoiseStream(0, range(256), 64, 1, 0.01)}\n"
+            "print(n, sorted(seen))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ldplab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["1", "[1]"]
 
 
 def test_increments_keyed_exactly_above_2_63():

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ def test_lambda_ladder_monotone_tanh():
     sums = [s for _, _, s in res.trail]
     assert all(b <= a + 1e-12 for a, b in zip(sums, sums[1:]))
     assert res.map.certified
+
+
+def test_lambda_ladder_logged_at_debug_only(caplog):
+    """Each lambda that ``find_lambda0`` tries makes one DEBUG record on
+    ``ldplab.zvonkin`` with its norm sum, Picard iterations and verdict; at
+    the default level nothing is recorded."""
+    problem = _problem_with_singular(lambda x: np.tanh(x), 1.0, "tanh")
+    find_lambda0(problem, resolution=65)
+    assert not [r for r in caplog.records if r.name == "ldplab.zvonkin"]
+    caplog.set_level(logging.DEBUG, logger="ldplab.zvonkin")
+    res = find_lambda0(problem, resolution=65)
+    records = [r for r in caplog.records if r.name == "ldplab.zvonkin"]
+    assert len(records) == len(res.trail) > 1
+    for record, (lam, _, norm_sum) in zip(records, res.trail):
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"lambda={lam:g} norm_sum={norm_sum:.6g} picard_iters=" in message
+        assert message.endswith(f"certified={lam == res.lambda0}")
 
 
 def test_lambda_cap_reports_trajectory():
