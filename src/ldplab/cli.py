@@ -86,8 +86,8 @@ def verb_validate(args):
                    f"max_eigenvalue={ell.value:.4g}" +
                    ("" if ell.passed else f" witness={ell.witness}")))
 
-    fams = [("drift", problem.drift)] if problem.layout == "nondegenerate" else \
-        [("x_drift", problem.bbar), ("y_drift", problem.Bbar)]
+    fams = [("x_drift", problem.quiet_drift), ("y_drift", problem.drift)] if problem.n_quiet \
+        else [("drift", problem.drift)]
     for label, fam in fams:
         probed = probe_lipschitz(fam.limit, problem.working_box, seed=args.seed)
         ok = probed <= problem.lipschitz_L * (1.0 + 1e-6)
@@ -186,7 +186,7 @@ def _make_target(args, problem):
         raise SystemExit(_fail(f"--coordinate must lie in [0, {problem.state_dim}), "
                                f"got {args.coordinate}", EXIT_INPUT_ERROR))
     coords = None
-    if problem.layout == "degenerate" and args.coordinate is None:
+    if problem.n_quiet and args.coordinate is None:
         coords = (problem.state_dim - 1,)
     elif args.coordinate is not None:
         coords = (args.coordinate,)

@@ -337,61 +337,57 @@ class DriftFamily:
 # ---------------------------------------------------------------------------
 # SDE problems
 
+def _signature(in_dim, out_dim, matrix):
+    """'R^in -> R^out', or 'R^in -> R^(out x out)' for a matrix field."""
+    return f"R^{in_dim} -> R^" + (f"({out_dim} x {out_dim})" if matrix else f"{out_dim}")
+
+
 @dataclass
 class SdeProblem:
-    """Full problem description for the non-degenerate and degenerate layouts.
+    """A noisy block Y, and optionally a noise-free block X before it.
 
-    Non-degenerate: state dim n; dX = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW.
-    Degenerate (d1, d2): dX = bbar^eps dt; dY = (Bbar^eps + eps*b) dt
-    + sqrt(eps) sigma(Y) dW.  eps is always a runtime parameter.
+    dims = (n,): dX = (b1^eps + eps*b2) dt + sqrt(eps) sigma(X) dW.
+    dims = (d1, d2): dX = f^eps dt; dY = (b1^eps + eps*b2(Y)) dt
+    + sqrt(eps) sigma(Y) dW.  ``drift`` is b1^eps, R^dim -> R^m for the
+    noisy block's size m; ``quiet_drift`` is f^eps, R^dim -> R^d1, given
+    exactly when dims has two entries; sigma and b2 act on the noisy block
+    only.  eps is always a runtime parameter.
     """
 
     name: str
-    layout: str  # 'nondegenerate' | 'degenerate'
+    dims: tuple                                # (n,) or (d1, d2)
     horizon_T: float
     ellipticity_K: float
     lipschitz_L: float
     working_box: Box
     start: np.ndarray
-    # non-degenerate coefficients
-    drift: DriftFamily | None = None          # b1 family (R^n -> R^n)
-    singular_drift: VectorField | None = None  # b2 (R^n -> R^n)
-    diffusion: VectorField | None = None       # sigma (noisy dim, matrix-valued)
-    # degenerate coefficients
-    bbar: DriftFamily | None = None            # R^{d1+d2} -> R^{d1}
-    Bbar: DriftFamily | None = None            # R^{d1+d2} -> R^{d2}
-    dims: tuple = ()                           # (n,) or (d1, d2)
-
-    @staticmethod
-    def check_dims(layout, dims):
-        """ValueError unless ``layout`` is known and ``dims`` lists one block
-        size for it, (n,), or two, (d1, d2)."""
-        n_blocks = {"nondegenerate": 1, "degenerate": 2}.get(layout)
-        if n_blocks is None:
-            raise ValueError(f"unknown layout {layout!r}")
-        if len(dims) != n_blocks:
-            raise ValueError(f"dims must list {n_blocks} block size(s) in the {layout} "
-                             f"layout, got {tuple(dims)}")
+    drift: DriftFamily                         # b1 family, R^dim -> R^m
+    diffusion: VectorField                     # sigma, R^m -> m x m matrices
+    singular_drift: VectorField | None = None  # b2, R^m -> R^m
+    quiet_drift: DriftFamily | None = None     # R^dim -> R^d1
 
     def __post_init__(self):
-        self.check_dims(self.layout, self.dims)
+        if len(self.dims) not in (1, 2):
+            raise ValueError(f"dims must be (n,) or (d1, d2), got {tuple(self.dims)}")
+        if (self.quiet_drift is not None) != (len(self.dims) == 2):
+            raise ValueError("a quiet drift is given exactly when dims lists two blocks, "
+                             f"got dims {tuple(self.dims)}")
         if not 0 < self.horizon_T < math.inf:
             raise ValueError(f"horizon_T must lie in (0, inf), got {self.horizon_T}")
         if not 1 < self.ellipticity_K < math.inf:
             raise ValueError(f"ellipticity_K must lie in (1, inf), got {self.ellipticity_K}")
         if not math.isfinite(self.lipschitz_L):
             raise ValueError(f"lipschitz_L must be finite, got {self.lipschitz_L}")
-        if self.layout == "nondegenerate":
-            (n,) = self.dims
-            if self.diffusion is None or self.diffusion.out_dim != n:
-                raise ValueError("diffusion must be square of the state dimension")
-        else:
-            d1, d2 = self.dims
-            if self.diffusion is None or self.diffusion.out_dim != d2 \
-                    or self.diffusion.in_dim != d2:
-                raise ValueError("degenerate diffusion must be d2 x d2 and depend on y only")
-            if self.singular_drift is not None and self.singular_drift.in_dim != d2:
-                raise ValueError("degenerate singular drift acts on the noisy block only")
+        dim, m = self.state_dim, self.noisy_dim
+        quiet = self.quiet_drift and self.quiet_drift.limit
+        for label, field, want in (("drift", self.drift.limit, (dim, m, False)),
+                                   ("quiet drift", quiet, (dim, self.n_quiet, False)),
+                                   ("diffusion", self.diffusion, (m, m, True)),
+                                   ("singular drift", self.singular_drift, (m, m, False))):
+            have = None if field is None else (field.in_dim, field.out_dim, field.matrix)
+            if have not in (None, want):
+                raise ValueError(f"{label} must be a field {_signature(*want)}, got "
+                                 f"{field.name or '<anon>'}: {_signature(*have)}")
         if self.singular_drift is not None and self.singular_drift.declared_modulus is None:
             raise ValueError("singular drift needs a declared modulus")
         start = np.asarray(self.start, dtype=float)   # the box is finite: NaN, inf lie outside
@@ -406,11 +402,11 @@ class SdeProblem:
     @property
     def n_quiet(self):
         """Leading noise-free coordinates (d1, or 0)."""
-        return self.dims[0] if self.layout == "degenerate" else 0
+        return sum(self.dims[:-1])
 
     @property
     def noisy_dim(self):
-        return self.state_dim - self.n_quiet
+        return self.dims[-1]
 
     def noisy_box(self):
         """Working box restricted to the noisy coordinates."""
@@ -496,16 +492,15 @@ def probe_modulus(f, m, box, seed=0):
 
 
 def drift_family_limit_gap(problem, eps, seed=0):
-    """Sampled sup-norm of b1^eps - b1^0 on the working box (both blocks if degenerate)."""
+    """Sampled sup-norm of b1^eps - b1^0 on the working box, over the quiet
+    drift's family too if there is one."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = problem.working_box.sample(rng, _PROBE_SAMPLES)
     total = 0.0
-    families = [problem.drift] if problem.layout == "nondegenerate" \
-        else [problem.bbar, problem.Bbar]
-    for fam in families:
-        gap = fam.gap_field(eps)
+    for fam in (problem.drift, problem.quiet_drift):
+        gap = fam and fam.gap_field(eps)
         if gap is None:
             continue
         total = max(total, float(np.max(np.linalg.norm(gap(pts), axis=1))))

@@ -25,8 +25,8 @@ def _phi_log(r, beta):
     is inf (r = 0 or subnormal) the value is exactly 0."""
     with np.errstate(divide="ignore", over="ignore"):
         phi = np.divide(1.0, r)
-    np.log1p(phi, out=phi)
-    phi **= -beta
+        np.log1p(phi, out=phi)
+        phi **= -beta             # about r**beta: inf for r above 1e83 at beta = 3.7
     return phi
 
 
@@ -232,8 +232,13 @@ def parse_problem_text(text, name_hint=""):
     cp = _config(text)
     prob = cp["problem"]
     layout = prob.get("layout", "nondegenerate").strip()
+    n_blocks = {"nondegenerate": 1, "degenerate": 2}.get(layout)
+    if n_blocks is None:
+        raise ValueError(f"unknown layout {layout!r}")
     dims = tuple(int(d) for d in prob["dims"].split())
-    SdeProblem.check_dims(layout, dims)
+    if len(dims) != n_blocks:
+        raise ValueError(f"dims must list {n_blocks} block size(s) in the {layout} "
+                         f"layout, got {dims}")
     state_dim = sum(dims)
     name = prob.get("name", name_hint).strip()
     horizon = float(prob.get("horizon", "1.0"))
@@ -248,8 +253,6 @@ def parse_problem_text(text, name_hint=""):
 
     noisy = dims[-1]            # the noisy block comes last in either layout
     diffusion = parse_field_spec(cp["diffusion"]["field"], noisy, noisy, matrix=True)
-    if diffusion.matrix is False:
-        raise ValueError("diffusion must be matrix-valued")
 
     singular = None
     if cp.has_section("singular"):
@@ -261,17 +264,16 @@ def parse_problem_text(text, name_hint=""):
         if "bound" in cp["singular"]:
             singular.declared_bound = float(cp["singular"]["bound"])
 
-    kwargs = dict(name=name, layout=layout, horizon_T=horizon, ellipticity_K=K,
-                  lipschitz_L=L, working_box=box, start=start, dims=dims,
-                  diffusion=diffusion, singular_drift=singular)
-    if layout == "nondegenerate":
-        (n,) = dims
-        kwargs["drift"] = _family(cp["drift"], "limit", "perturbation", n, n)
-    else:
-        d1, d2 = dims
-        kwargs["bbar"] = _family(cp["drift"], "limit_x", "perturbation_x", d1 + d2, d1)
-        kwargs["Bbar"] = _family(cp["drift"], "limit_y", "perturbation_y", d1 + d2, d2)
-    return SdeProblem(**kwargs)
+    # the noisy block's drift is limit/perturbation, or limit_y/perturbation_y
+    # beside the noise-free block's limit_x/perturbation_x
+    suffix = "_y" if len(dims) == 2 else ""
+    drift = _family(cp["drift"], "limit" + suffix, "perturbation" + suffix, state_dim, noisy)
+    quiet_drift = None
+    if len(dims) == 2:
+        quiet_drift = _family(cp["drift"], "limit_x", "perturbation_x", state_dim, dims[0])
+    return SdeProblem(name=name, dims=dims, horizon_T=horizon, ellipticity_K=K,
+                      lipschitz_L=L, working_box=box, start=start, drift=drift,
+                      diffusion=diffusion, singular_drift=singular, quiet_drift=quiet_drift)
 
 
 _BUNDLED = ["brownian-1d", "ou-1d", "free-endpoint", "dini-tanhlog-1d",

@@ -10,8 +10,8 @@ Noise is counter-based and keyed by blocks of ``_NOISE_BLOCK`` paths: the
 normals of block i // 256 come from one Philox stream keyed by
 (seed, point * 2**32 + i // 256) in time-major (n_steps, 256, dim) order,
 and path i's row is column i % 256 of that draw.  A row is therefore a pure
-function of (seed, ladder point, path index), whatever the batch, chunk or
-order in which it is drawn; increments can be block-summed to couple
+function of (seed, ladder point, path index), whatever the range of paths
+it is drawn in; increments can be block-summed to couple
 refinements of the time grid.  ``NoiseStream`` draws a batch slice by slice,
 so that the stepper can consume it without holding it whole, and draws a
 batch of several blocks on two worker threads, one slice ahead of the
@@ -71,19 +71,11 @@ class PathSample:
     dt: float
 
 
-def _run(ix):
-    """An index array as the equivalent slice when it is a run of consecutive
-    integers (a plain copy instead of a gather or scatter)."""
-    if np.array_equal(ix, np.arange(ix[0], ix[0] + len(ix))):
-        return slice(int(ix[0]), int(ix[0]) + len(ix))
-    return ix
-
-
 class NoiseStream:
-    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range or
-    sequence of path indices) at ladder point ``point``, drawn as they are
-    read: the (len(paths), n_steps, dim) batch of ``brownian_increments``,
-    without holding it whole.
+    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range of
+    consecutive path indices, else ``TypeError``) at ladder point ``point``,
+    drawn as they are read: the (len(paths), n_steps, dim) batch of
+    ``brownian_increments``, without holding it whole.
 
     Iterating yields the batch in time-major slices (s, len(paths), dim) of
     ``_NOISE_SLICE // dim`` steps (at least one), in order; a slice is valid
@@ -115,11 +107,12 @@ class NoiseStream:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         if not 0 <= point < 2 ** 32:
             raise ValueError(f"ladder point must lie in [0, 2**32), got {point}")
-        idx = np.asarray(paths)
-        if idx.size and not (idx.min() >= 0 and idx.max() < 2 ** 40):
-            bad = idx.min() if idx.min() < 0 else idx.max()
+        if not (isinstance(paths, range) and paths.step == 1):
+            raise TypeError(f"paths must be a range of consecutive indices, got {paths!r}")
+        if paths and not (paths[0] >= 0 and paths[-1] < 2 ** 40):
+            bad = paths[0] if paths[0] < 0 else paths[-1]
             raise ValueError(f"path indices must lie in [0, 2**40), got {bad}")
-        self.paths = idx.astype(np.int64)
+        self.paths = paths
         self.seed, self.point = int(seed), int(point)
         self.shape = (len(self.paths), n_steps, dim)
         self.dt = dt
@@ -128,14 +121,15 @@ class NoiseStream:
 
     def __iter__(self):
         n, n_steps, dim = self.shape
-        blocks = self.paths // _NOISE_BLOCK
-        order = np.argsort(blocks, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1) if n else []
+        lo, hi = self.paths.start, self.paths.start + n
+        blocks = range(lo // _NOISE_BLOCK, (hi - 1) // _NOISE_BLOCK + 1) if n else ()
         draws = []                # (generator, rows of the batch, columns of the block)
-        for rows in groups:
-            key = np.array([self.seed, (self.point << 32) + int(blocks[rows[0]])], dtype=np.uint64)
-            draws.append((np.random.Generator(np.random.Philox(key=key)), _run(rows),
-                          _run(self.paths[rows] % _NOISE_BLOCK)))
+        for block in blocks:
+            first = block * _NOISE_BLOCK
+            start, stop = max(lo, first), min(hi, first + _NOISE_BLOCK)
+            key = np.array([self.seed, (self.point << 32) + block], dtype=np.uint64)
+            draws.append((np.random.Generator(np.random.Philox(key=key)),
+                          slice(start - lo, stop - lo), slice(start - first, stop - first)))
         steps = max(1, min(n_steps, _NOISE_SLICE // dim))
         sizes = [min(steps, n_steps - k) for k in range(0, n_steps, steps)]
         if sizes and len(draws) > 1 and _cpu_count() > 1:
@@ -223,21 +217,18 @@ def _draw_slice(draws, buf, part, sqrt_dt):
     buf = buf[:len(part)]
     for gen, rows, cols in draws:
         gen.standard_normal(out=buf)
-        if type(rows) is slice:
-            np.multiply(buf[:, cols], sqrt_dt, out=part[:, rows])
-        else:                     # a gather is a copy: ``out=`` would write into it
-            part[:, rows] = buf[:, cols] * sqrt_dt
+        np.multiply(buf[:, cols], sqrt_dt, out=part[:, rows])
     return perf_counter() - t0
 
 
 def brownian_increments(seed, paths, n_steps, dim, dt, point=0):
-    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range or
-    sequence of path indices) at ladder point ``point``, as a
+    """Increments dW_k ~ N(0, dt I) of the paths in ``paths`` (a range of
+    consecutive path indices) at ladder point ``point``, as a
     (len(paths), n_steps, dim) batch: the slices of ``NoiseStream``
-    collected, with its keying and its ``ValueError`` for key words out of
-    range.  The batch is a view of time-major storage, so that the stepper
-    reads the increments of one step, ``batch[:, k]``, from contiguous
-    memory.
+    collected, with its keying, its ``TypeError`` for other ``paths`` and its
+    ``ValueError`` for key words out of range.  The batch is a view of
+    time-major storage, so that the stepper reads the increments of one
+    step, ``batch[:, k]``, from contiguous memory.
     """
     stream = NoiseStream(seed, paths, n_steps, dim, dt, point)
     out = np.empty((n_steps, len(stream.paths), dim))
@@ -292,7 +283,8 @@ def apply_noise(sigma, v):
 
 
 def dynamics(system, eps, with_singular=True):
-    """The ``Dynamics`` of an SdeProblem or a TransformedSde, in either layout.
+    """The ``Dynamics`` of an SdeProblem or a TransformedSde, with or without a
+    noise-free block.
 
     An SdeProblem lives on its working box; ``with_singular=False`` drops its
     vanishing term eps*b2.  Its fields are called raw (``VectorField.func``),
@@ -322,21 +314,16 @@ def _original_dynamics(problem, eps, with_singular):
         def sigma(y):
             return constant
 
-    if q == 0:
-        b1, quiet_drift = problem.drift.at(eps).func, None
+    b1 = problem.drift.at(eps).func
+    quiet_drift = problem.quiet_drift.at(eps).func if q else None
 
-        def coefficients(z):
-            out = b1(z)
-            return (out if b2 is None else out + eps * b2(z)), sigma(z)
-    else:
-        quiet_drift, Bbar = problem.bbar.at(eps).func, problem.Bbar.at(eps).func
+    def coefficients(z):
+        y = z[:, q:]
+        out = b1(z)
+        if b2 is not None:
+            out = out + eps * b2(y)
+        return (np.concatenate([quiet_drift(z), out], axis=1) if q else out), sigma(y)
 
-        def coefficients(z):
-            y = z[:, q:]
-            vy = Bbar(z)
-            if b2 is not None:
-                vy = vy + eps * b2(y)
-            return np.concatenate([quiet_drift(z), vy], axis=1), sigma(y)
     return Dynamics(x0, coefficients, problem.working_box.contains, q, eps, problem.horizon_T,
                     _identity, quiet_drift)
 
@@ -350,7 +337,8 @@ def _transformed_dynamics(tsde, eps):
     box = Box(lo=np.concatenate([base.working_box.lo[:q], ibox.lo]),
               hi=np.concatenate([base.working_box.hi[:q], ibox.hi]))
     return Dynamics(tsde.start().astype(float), tsde.coefficients(eps), box.contains, q, eps,
-                    base.horizon_T, tsde.to_original, tsde.quiet_drift(eps) if q else None)
+                    base.horizon_T, tsde.to_original,
+                    base.quiet_drift.at(eps) if q else None)
 
 
 def euler(dyn, increments, keep_path=False):
@@ -405,7 +393,8 @@ def _single_path(system, eps, n_steps, seed, path_index, increments, with_singul
     dt = dyn.horizon / n_steps
     if increments is None:
         noise_dim = dyn.x0.size - dyn.n_quiet
-        batch = brownian_increments(seed, [path_index], n_steps, noise_dim, dt)
+        batch = brownian_increments(seed, range(path_index, path_index + 1), n_steps,
+                                    noise_dim, dt)
     else:
         batch = increments[None]
     _, alive, path = euler(dyn, batch, keep_path=True)
@@ -428,8 +417,8 @@ def simulate_transformed(tsde, eps, n_steps, seed, path_index=0, increments=None
 
 def simulate_degenerate(problem, eps, n_steps, seed, path_index=0, increments=None,
                         with_singular=True):
-    """dX = bbar^eps dt (no noise); dY = (Bbar^eps + eps*b) dt + sqrt(eps) sigma dW."""
-    if problem.layout != "degenerate":
+    """dX = f^eps dt (no noise); dY = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW."""
+    if not problem.n_quiet:
         raise ValueError("problem is not in the degenerate layout")
     return _single_path(problem, eps, n_steps, seed, path_index, increments, with_singular)
 

@@ -67,10 +67,10 @@ def _constant_singular_problem(c=1.0):
     zero = VectorField(in_dim=1, out_dim=1,
                        func=lambda x: np.zeros((x.shape[0], 1)), name="zero")
     eye = build_field("identity_matrix", m=1)
-    return SdeProblem(name="constant-singular", layout="nondegenerate", horizon_T=1.0,
+    return SdeProblem(name="constant-singular", dims=(1,), horizon_T=1.0,
                       ellipticity_K=2.0, lipschitz_L=1.0, working_box=box,
                       start=np.zeros(1), drift=DriftFamily(limit=zero),
-                      singular_drift=singular, diffusion=eye, dims=(1,))
+                      singular_drift=singular, diffusion=eye)
 
 
 # Ladders and minimum-action solves on bundled problems, keyed by what they
@@ -312,9 +312,9 @@ def gate_degenerate_slope(seed=2024):
     # X-block must be noise-free: single-step moves bounded by the drift alone
     path = simulate_degenerate(problem, eps=1.0 / 16, n_steps=_N_STEPS, seed=seed)
     dx = np.abs(np.diff(path.states[:, 0]))
-    bbar_sup = float(np.max(np.abs(path.states[:, 1])))  # |bbar(x,y)| = |y|
+    quiet_sup = float(np.max(np.abs(path.states[:, 1])))  # |quiet drift(x, y)| = |y|
     dt = problem.horizon_T / _N_STEPS
-    noise_free = bool(np.max(dx) <= bbar_sup * dt + 1e-12)
+    noise_free = bool(np.max(dx) <= quiet_sup * dt + 1e-12)
     ok = rel <= 0.15 and noise_free
     return GateReport("degenerate_slope", ok,
                       {"slope": est.slope, "rate": rate.value,

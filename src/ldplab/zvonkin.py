@@ -432,8 +432,8 @@ class TransformedSde:
 
     Only the noisy block Y goes through theta: with Y~ = theta(Y), its drift
     is (grad theta . b) o theta^{-1} + eps*lambda*u o theta^{-1} and its
-    diffusion (grad theta . sigma) o theta^{-1}.  A noise-free block X (the
-    degenerate layout) keeps its drift, evaluated at (x, theta^{-1}(y~)).
+    diffusion (grad theta . sigma) o theta^{-1}.  A noise-free block X keeps
+    its drift (``base.quiet_drift``), evaluated at (x, theta^{-1}(y~)).
     """
 
     base: object          # the source SdeProblem
@@ -463,20 +463,12 @@ class TransformedSde:
         grad = self.map.u.jacobian(y) + np.eye(self.map.u.m)
         return y, grad, grad @ self.base.diffusion(y)
 
-    def quiet_drift(self, eps):
-        """The noise-free block's drift at ``eps``, on (B, dim) states (x, y)
-        whose noisy part is already pulled back (``to_original``): theta
-        leaves this block's drift as it is."""
-        return self.base.bbar.at(eps)
-
     def coefficients(self, eps):
         """The transformed coefficients at ``eps`` as one callable on (B, dim)
         joint states (x, y~): z -> (drift (B, dim), diffusion (B, m, m))."""
         zmap, q = self.map, self.n_quiet
-        if q == 0:
-            noisy_drift = self.base.drift.at(eps)
-        else:
-            quiet_drift, noisy_drift = self.quiet_drift(eps), self.base.Bbar.at(eps)
+        noisy_drift = self.base.drift.at(eps)
+        quiet_drift = self.base.quiet_drift.at(eps) if q else None
 
         def func(z):
             y, grad, sigma = self.pullback(z[:, q:])

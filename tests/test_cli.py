@@ -371,15 +371,32 @@ def test_import_loads_no_scipy_submodule(code, lazy):
     assert proc.stdout.strip() == "[]"
 
 
+_SINGULAR_1D = "\n\n[singular]\nfield = registry: tanhlog_dini(beta=2, gain=3)\nbound = 1.0"
+
+
 @pytest.mark.parametrize("old, new, needle", [
     ("layout = nondegenerate", "layout = degenerate", "dims must list 2 block size(s)"),
     ("layout = nondegenerate", "layout = sideways", "unknown layout 'sideways'"),
+    pytest.param("limit = expr: 0", "limit = registry: linear(matrix=[[1.0, 0.0]])",
+                 "drift must be a field R^1 -> R^1, got linear: R^2 -> R^1", id="drift-2-to-1"),
+    pytest.param(("dims = 1", "limit = expr: 0"), ("dims = 2", "limit = expr: 0; 0" + _SINGULAR_1D),
+                 "singular drift must be a field R^2 -> R^2, got tanhlog_dini: R^1 -> R^1",
+                 id="singular-1d-in-2d"),
 ])
 def test_layout_and_dims_checked_before_use(tmp_path, capsys, old, new, needle):
-    """A layout the file does not know, or a dims line that does not match
-    its layout, exits 2 with one error line instead of an IndexError."""
-    bad = _brownian_variant(tmp_path, old, new)
-    assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: problem file invalid") and needle in err, err
-    assert "Traceback" not in err
+    """A layout the file does not know, a dims line that does not match its
+    layout, or a field that does not match its block's dimensions exits 2
+    from every verb with one error line instead of a traceback or a run on
+    broadcast values.  ``old`` and ``new`` are one replacement or a tuple of
+    them."""
+    bad = tmp_path / "variant.ini"
+    text = (files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+    for o, n in zip(*((old, new) if isinstance(old, tuple) else ((old,), (new,)))):
+        assert o in text
+        text = text.replace(o, n)
+    bad.write_text(text)
+    for verb in ("validate", "simulate"):
+        assert main([verb, "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2, verb
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem file invalid") and needle in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err

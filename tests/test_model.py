@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -236,3 +237,35 @@ def test_drift_family_at_eps():
     b0 = problem.drift.at(0.0)(x)
     b_half = problem.drift.at(0.5)(x)
     assert np.allclose(b_half - b0, 0.5 * np.tanh(0.7))
+
+
+# ---------------------------------------------------------------------------
+# SDE problems
+
+def test_problem_quiet_drift_given_exactly_with_two_blocks():
+    """A quiet drift comes with two-entry dims and only with them."""
+    brownian, hamiltonian = load_problem("brownian-1d"), load_problem("hamiltonian-2d")
+    assert brownian.quiet_drift is None and hamiltonian.quiet_drift is not None
+    with pytest.raises(ValueError, match="quiet drift is given exactly when"):
+        dataclasses.replace(brownian, quiet_drift=hamiltonian.quiet_drift)
+    with pytest.raises(ValueError, match="quiet drift is given exactly when"):
+        dataclasses.replace(hamiltonian, quiet_drift=None)
+    with pytest.raises(ValueError, match=r"dims must be \(n,\) or \(d1, d2\)"):
+        dataclasses.replace(hamiltonian, dims=(1, 1, 1))
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("drift", model.DriftFamily(limit=build_field("linear", matrix=[[1.0, 0.0]])),
+     r"drift must be a field R\^1 -> R\^1, got linear: R\^2 -> R\^1$"),
+    ("diffusion", build_field("identity_matrix", m=2),
+     r"diffusion must be a field R\^1 -> R\^\(1 x 1\), got identity_matrix: R\^2"),
+    ("diffusion", build_field("identity", n=1),
+     r"diffusion must be a field R\^1 -> R\^\(1 x 1\), got identity: R\^1 -> R\^1$"),
+    ("singular_drift", build_field("linear", matrix=[[1.0], [2.0]]),
+     r"singular drift must be a field R\^1 -> R\^1, got linear: R\^1 -> R\^2$"),
+], ids=["drift", "diffusion-size", "diffusion-vector", "singular"])
+def test_problem_checks_every_field_against_its_block(field, value, needle):
+    """Each field's (in_dim, out_dim, matrix) must match its block; a
+    mismatch is a ValueError naming the field."""
+    with pytest.raises(ValueError, match=needle):
+        dataclasses.replace(load_problem("brownian-1d"), **{field: value})

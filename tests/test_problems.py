@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,9 @@ def test_bundled_suite_loads():
         assert problem.state_dim >= 1
         z = problem.start
         y = z[problem.state_dim - problem.noisy_dim:]
-        drifts = [problem.drift] if problem.layout == "nondegenerate" \
-            else [problem.bbar, problem.Bbar]
-        for family in drifts:
-            assert family.at(0.25)(z).shape == (family.limit.out_dim,)
+        assert problem.drift.at(0.25)(z).shape == (problem.noisy_dim,)
+        if problem.quiet_drift is not None:
+            assert problem.quiet_drift.at(0.25)(z).shape == (problem.n_quiet,)
         assert problem.diffusion(y).shape == (problem.noisy_dim, problem.noisy_dim)
         assert problem.singular_or_zero()(y).shape == (problem.noisy_dim,)
 
@@ -40,18 +41,22 @@ def test_registry_wrong_type_names_field(name, params):
 
 def test_phi_log_equals_masked_formula():
     """``np.log1p(1/r) ** -beta`` equals the masked formula bit for bit, 0 at
-    r = 0 included, without writing into ``r``."""
+    r = 0 and inf where r**beta overflows included, without writing into
+    ``r`` or warning."""
     tiny = np.finfo(float).tiny
     r = np.concatenate([[0.0, 5e-324, 1e-320, tiny / 2, tiny], np.logspace(-300, 300, 1201),
                         [1.0, 1e308, np.finfo(float).max]])
     for beta in (0.25, 1.0, 2.0, 3.7):
         old = np.zeros_like(r)
         pos = r > 0
-        with np.errstate(over="ignore"):   # 1/r overflows to inf for subnormal r
+        with np.errstate(over="ignore"):   # 1/r and r**beta overflow to inf
             old[pos] = np.log1p(1.0 / r[pos]) ** (-beta)
         before = r.tobytes()
-        new = _phi_log(r, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = _phi_log(r, beta)
         assert new.tobytes() == old.tobytes() and r.tobytes() == before
+    assert np.isinf(old[-1])
 
 
 def test_registry_unknown_name():
@@ -73,11 +78,9 @@ def test_parse_field_spec_rejects_garbage():
 
 def test_problem_text_degenerate_layout():
     problem = load_problem("hamiltonian-2d")
-    assert problem.layout == "degenerate"
-    assert problem.dims == (1, 2) or problem.dims == (1, 1)
-    assert problem.noisy_dim == 1
+    assert problem.dims == (1, 1) and problem.n_quiet == 1 and problem.noisy_dim == 1
     z = np.array([[0.5, 0.3]])
-    assert np.allclose(problem.bbar.limit(z), [[0.3]])
+    assert np.allclose(problem.quiet_drift.limit(z), [[0.3]])
 
 
 def test_problem_file_from_path(tmp_path):

@@ -23,9 +23,9 @@ from ldplab.zvonkin import find_lambda0, transform
 
 
 def test_increments_reproducible_and_independent():
-    a = brownian_increments(7, [0], 100, 2, 0.01)[0]
-    b = brownian_increments(7, [0], 100, 2, 0.01)[0]
-    c = brownian_increments(7, [1], 100, 2, 0.01)[0]
+    a = brownian_increments(7, range(1), 100, 2, 0.01)[0]
+    b = brownian_increments(7, range(1), 100, 2, 0.01)[0]
+    c = brownian_increments(7, range(1, 2), 100, 2, 0.01)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (100, 2)
@@ -44,26 +44,32 @@ def _block_rows(seed, point, i, n_steps, dim, dt):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_batched_increments_equal_per_path_streams(dim):
     """Each row of a batch is its path's column of a freshly keyed block
-    draw, across blocks and for ranges, lists, index arrays and a single
-    path, and the stream yields the same values slice by slice."""
+    draw, across blocks, for ranges that start and end inside a block and
+    for a single path, and the stream yields the same values slice by
+    slice.  Paths that are not a range of consecutive indices are refused."""
     seed, point, n_steps, dt = 2024, 2, 70, 1.0 / 70
-    rows = (0, 255, 256, 599)
+    rows = (0, 1, 255, 256, 511, 512, 599)
     expected = {i: _block_rows(seed, point, i, n_steps, dim, dt) for i in rows}
     batch = brownian_increments(seed, range(600), n_steps, dim, dt, point=point)
     assert batch.shape == (600, n_steps, dim)
     for i in rows:
         assert np.array_equal(batch[i], expected[i])
-    for paths in ([599, 0, 256, 255], np.array([0, 255, 256, 599]), range(255, 257), [599]):
+    for paths in (range(255, 257), range(1, 513), range(599, 600), range(0)):
         batch = brownian_increments(seed, paths, n_steps, dim, dt, point=point)
         assert batch.shape == (len(paths), n_steps, dim)
         for row, i in zip(batch, paths):
-            assert np.array_equal(row, expected[i])
-    stream = NoiseStream(seed, [599, 0], n_steps, dim, dt, point=point)
+            if i in expected:
+                assert np.array_equal(row, expected[i])
+    stream = NoiseStream(seed, range(255, 257), n_steps, dim, dt, point=point)
     parts = [part.copy() for part in stream]
     assert [len(part) for part in parts[:-1]] == ([simulate._NOISE_SLICE // dim]
                                                   * (len(parts) - 1))
-    assert np.array_equal(np.concatenate(parts), np.stack([expected[599], expected[0]], axis=1))
+    assert np.array_equal(np.concatenate(parts), np.stack([expected[255], expected[256]], axis=1))
     assert stream.draw_s > 0
+    for paths in ([0, 1], np.arange(2), range(0, 4, 2)):
+        for draw in (brownian_increments, NoiseStream):
+            with pytest.raises(TypeError, match="range of consecutive indices"):
+                draw(seed, paths, n_steps, dim, dt)
 
 
 def _cpus(monkeypatch, n):
@@ -82,16 +88,16 @@ def _threads_while_streaming(stream):
 
 
 def test_both_sides_of_the_drawing_selection_give_the_same_bits(monkeypatch):
-    """A 600-path stream (three blocks) gives the same bytes drawn inline on
-    one CPU and one slice ahead on two worker threads, for a scrambled list
-    of paths (gathers and scatters) and for a range (runs), also with the
-    threads switched every microsecond; on one CPU it starts no thread."""
+    """A stream of three blocks gives the same bytes drawn inline on one CPU
+    and one slice ahead on two worker threads, for a range of whole blocks
+    and one that starts and ends inside a block, also with the threads
+    switched every microsecond; on one CPU it starts no thread."""
     seed, point, n_steps, dt = 2024, 2, 70, 1.0 / 70
-    scrambled = [599, 0, 256, 255, *range(1, 255), *range(257, 599)]
     before = threading.active_count()
     interval = sys.getswitchinterval()
     try:
-        for paths, switch in ((scrambled, interval), (range(600), interval), (scrambled, 1e-6)):
+        for paths, switch in ((range(600), interval), (range(100, 700), interval),
+                              (range(600), 1e-6)):
             sys.setswitchinterval(switch)
             _cpus(monkeypatch, 1)
             inline, most_inline = _threads_while_streaming(
@@ -221,12 +227,13 @@ def test_increments_keyed_exactly_above_2_63():
     for i in (0, 255, 256, 299):
         assert np.array_equal(batch[i], _block_rows(seed, point, i, n_steps, 1, dt))
     last = 2 ** 40 - 1
-    row, = brownian_increments(seed, [last], n_steps, 1, dt, point=2 ** 32 - 1)
+    row, = brownian_increments(seed, range(last, last + 1), n_steps, 1, dt, point=2 ** 32 - 1)
     assert np.array_equal(row, _block_rows(seed, 2 ** 32 - 1, last, n_steps, 1, dt))
 
 
-@pytest.mark.parametrize("seed, paths", [(-1, [0]), (2 ** 64, [0]), (0, [-1]), (0, [2 ** 64]),
-                                         (0, range(-1, 3)), (0, [2 ** 40])])
+@pytest.mark.parametrize("seed, paths", [(-1, range(1)), (2 ** 64, range(1)), (0, range(-1, 0)),
+                                         (0, range(2 ** 64, 2 ** 64 + 1)), (0, range(-1, 3)),
+                                         (0, range(2 ** 40 - 1, 2 ** 40 + 1))])
 def test_increments_refuse_key_words_outside_uint64(seed, paths):
     """Seeds outside [0, 2**64) and path indices outside [0, 2**40) are
     refused by the collected batch and by the stream alike."""
@@ -240,17 +247,17 @@ def test_increments_refuse_key_words_outside_uint64(seed, paths):
 def test_increments_refuse_ladder_points_outside_key_range(point):
     for draw in (brownian_increments, NoiseStream):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            draw(0, [0], 4, 1, 0.25, point=point)
+            draw(0, range(1), 4, 1, 0.25, point=point)
 
 
 def test_increments_variance():
     dt = 0.25
-    inc = brownian_increments(0, [0], 20000, 1, dt)[0]
+    inc = brownian_increments(0, range(1), 20000, 1, dt)[0]
     assert np.var(inc) == pytest.approx(dt, rel=0.05)
 
 
 def test_coarsen_preserves_total():
-    inc = brownian_increments(3, [0], 64, 1, 0.01)[0]
+    inc = brownian_increments(3, range(1), 64, 1, 0.01)[0]
     coarse = coarsen_increments(inc, 4)
     assert coarse.shape == (16, 1)
     assert np.allclose(coarse.sum(axis=0), inc.sum(axis=0))
@@ -278,7 +285,7 @@ def test_simulate_reproducible():
 def test_brownian_terminal_matches_increment_sum():
     problem = load_problem("brownian-1d")
     path = simulate_original(problem, 0.25, 128, seed=4)
-    increments = brownian_increments(4, [0], 128, 1, problem.horizon_T / 128)[0]
+    increments = brownian_increments(4, range(1), 128, 1, problem.horizon_T / 128)[0]
     assert path.states[-1, 0] == pytest.approx(0.5 * increments.sum(), rel=1e-12)
 
 
@@ -294,13 +301,13 @@ def test_degenerate_x_block_noise_free():
     path = simulate_degenerate(problem, 0.25, 200, seed=11)
     dt = problem.horizon_T / 200
     dx = np.abs(np.diff(path.states[:, 0]))
-    bbar_bound = np.max(np.abs(path.states[:, 1]))  # bbar(x, y) = y
-    assert np.max(dx) <= bbar_bound * dt + 1e-12
+    quiet_bound = np.max(np.abs(path.states[:, 1]))  # quiet drift(x, y) = y
+    assert np.max(dx) <= quiet_bound * dt + 1e-12
 
 
 def _one_path_increments(problem, n_steps, seed):
     dt = problem.horizon_T / n_steps
-    return brownian_increments(seed, [0], n_steps, problem.noisy_dim, dt)
+    return brownian_increments(seed, range(1), n_steps, problem.noisy_dim, dt)
 
 
 def test_conjugacy_eps_zero_is_integrator_mismatch(dini_problem, dini_map):
@@ -473,20 +480,18 @@ def test_non_finite_drift_marks_row_escaped():
 
 
 def _reference_euler(problem, dyn, increments):
-    """The batched step written out from the problem's fields: a drift sum
-    (a concatenate in the degenerate layout), ``z + drift * dt``,
+    """The batched step written out from the problem's fields: the quiet
+    drift (if any) beside the noisy block's drift sum, ``z + drift * dt``,
     ``sqrt_eps * apply_noise(sigma, dw)`` and ``np.where``."""
     eps, q = dyn.eps, dyn.n_quiet
     b2 = problem.singular_drift.func if problem.singular_drift and eps != 0.0 else None
+    quiet = [] if problem.quiet_drift is None else [problem.quiet_drift.at(eps).func]
 
     def drift_of(z):
-        if q == 0:
-            out = problem.drift.at(eps).func(z)
-            return out if b2 is None else out + eps * b2(z)
-        vy = problem.Bbar.at(eps).func(z)
+        vy = problem.drift.at(eps).func(z)
         if b2 is not None:
             vy = vy + eps * b2(z[:, q:])
-        return np.concatenate([problem.bbar.at(eps).func(z), vy], axis=1)
+        return np.concatenate([f(z) for f in quiet] + [vy], axis=1)
 
     B, n_steps = increments.shape[:2]
     dt, sqrt_eps = dyn.horizon / n_steps, np.sqrt(eps)
@@ -511,10 +516,9 @@ def _reference_euler(problem, dyn, increments):
 def _watch_fields(problem, calls):
     """Wrap every field of ``problem`` so that each call records its output
     and checks that the field left its input batch as it was."""
-    fields = [problem.diffusion, problem.singular_drift]
-    families = [problem.drift] if problem.layout == "nondegenerate" else [problem.bbar,
-                                                                         problem.Bbar]
-    for field in [f for f in fields if f is not None] + [fam.limit for fam in families]:
+    fields = [problem.diffusion, problem.singular_drift, problem.drift.limit,
+              problem.quiet_drift and problem.quiet_drift.limit]
+    for field in [f for f in fields if f is not None]:
         def watched(x, func=field.func):
             before = x.tobytes()
             out = func(x)
@@ -531,8 +535,8 @@ def _watch_fields(problem, calls):
 def test_euler_equals_composed_step(tmp_path, name, source):
     """The stepper's step equals the one written out bit for bit, on a
     narrowed box where some rows escape, driven by an array or by a stream
-    over non-aligned, unordered paths; it leaves x0, the increments and
-    every array a field returned unchanged."""
+    over a range of paths that starts and ends inside a block; it leaves x0,
+    the increments and every array a field returned unchanged."""
     if name == "plane-scaled":
         problem = parse_problem_text(_PLANE.format("identity_matrix(scale=3.0)"))
     elif name == "plane-tanh_iso":
@@ -543,12 +547,13 @@ def test_euler_equals_composed_step(tmp_path, name, source):
                           .replace("box_lo = -6.0", "box_lo = -1.5")
                           .replace("box_hi = 6.0", "box_hi = 1.5"))
         problem = load_problem(str(narrow))
-    paths = np.r_[600:640, 5, 300, 7, 256:270]      # whole, sliced and scattered blocks
+    paths = range(240, 530)                         # sliced, whole and sliced blocks
     n_steps, seed, point = 50, 11, 3
     dt = problem.horizon_T / n_steps
     inc = brownian_increments(seed, paths, n_steps, problem.noisy_dim, dt, point=point)
-    for row, i in zip(inc, paths):
-        assert np.array_equal(row, _block_rows(seed, point, i, n_steps, problem.noisy_dim, dt))
+    for i in (240, 255, 256, 511, 512, 529):
+        assert np.array_equal(inc[i - paths.start],
+                              _block_rows(seed, point, i, n_steps, problem.noisy_dim, dt))
     inc_bytes = inc.tobytes()
     calls = []
     _watch_fields(problem, calls)

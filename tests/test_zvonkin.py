@@ -16,11 +16,11 @@ def _problem_with_singular(func, bound, name="synthetic"):
                            declared_bound=bound, name=name)
     zero = VectorField(in_dim=1, out_dim=1,
                        func=lambda x: np.zeros((x.shape[0], 1)), name="zero")
-    return SdeProblem(name=name, layout="nondegenerate", horizon_T=1.0,
+    return SdeProblem(name=name, dims=(1,), horizon_T=1.0,
                       ellipticity_K=2.0, lipschitz_L=1.0,
                       working_box=Box.cube(1, 6.0), start=np.zeros(1),
                       drift=DriftFamily(limit=zero), singular_drift=singular,
-                      diffusion=build_field("identity_matrix", m=1), dims=(1,))
+                      diffusion=build_field("identity_matrix", m=1))
 
 
 def test_zero_perturbation_gives_zero_map():
