@@ -86,14 +86,14 @@ def action(control):
     return 0.5 * float(np.sum(control.hdot ** 2)) * dt
 
 
-def skeleton(problem, control, n_steps, tsde=None):
-    """RK4 for the controlled ODE z' = b(z) + S(z) hdot of the eps = 0 system,
-    transformed if ``tsde`` is given, under piecewise-constant controls.
+def skeleton(system, control, n_steps):
+    """RK4 for the controlled ODE z' = b(z) + S(z) hdot of the eps = 0 system
+    (an SdeProblem or a TransformedSde), under piecewise-constant controls.
 
     A batch of controls (B, n_intervals, m) is integrated together, and
     ``states`` is then (B, n_steps + 1, dim) instead of (n_steps + 1, dim).
     """
-    dyn = dynamics(problem if tsde is None else tsde, 0.0)
+    dyn = dynamics(system, 0.0)
     hdots = control.hdot.reshape((-1,) + control.hdot.shape[-2:])
     if n_steps % control.n_intervals:
         raise ValueError("n_steps must be a multiple of n_intervals")

@@ -96,7 +96,7 @@ def verb_validate(args):
         for eps in (0.5, 0.25, 0.125):
             if fam.gap_field(eps) is None:
                 break
-            gap = drift_family_limit_gap(problem, eps, seed=args.seed)
+            gap = drift_family_limit_gap(fam, problem.working_box, eps, seed=args.seed)
             checks.append((f"{label}_gap_eps={eps}", True, f"sup_gap={gap:.4g}"))
 
     b2 = problem.singular_drift
@@ -204,7 +204,7 @@ def verb_rate(args):
     problem = _load(args)
     _write_manifest(args.out, "rate", {
         "problem": args.problem, "seed": args.seed, "event": args.event,
-        "threshold": args.threshold, "radius": args.radius,
+        "threshold": args.threshold, "radius": args.radius, "coordinate": args.coordinate,
         "n_intervals": args.n_intervals, "restarts": args.restarts})
     target = _make_target(args, problem)
     try:
@@ -239,8 +239,8 @@ def verb_ldp(args):
     _write_manifest(args.out, "ldp", {
         "problem": args.problem, "seed": args.seed, "eps_ladder": eps_ladder,
         "n_paths": args.n_paths, "n_steps": args.n_steps, "event": args.event,
-        "threshold": args.threshold, "radius": args.radius,
-        "with_singular": not args.no_singular})
+        "threshold": args.threshold, "radius": args.radius, "coordinate": args.coordinate,
+        "with_singular": not args.no_singular, "rate_value": args.rate_value})
     target = _make_target(args, problem)
     event = terminal_event(target)
     try:

@@ -413,14 +413,6 @@ class SdeProblem:
         q = self.n_quiet
         return Box(lo=self.working_box.lo[q:], hi=self.working_box.hi[q:])
 
-    def singular_or_zero(self):
-        if self.singular_drift is not None:
-            return self.singular_drift
-        m = self.noisy_dim
-        return VectorField(in_dim=m, out_dim=m, func=lambda x: np.zeros((x.shape[0], m)),
-                           name="zero", declared_modulus=Modulus.lipschitz(0.0),
-                           declared_bound=0.0, lipschitz_const=0.0)
-
 
 # ---------------------------------------------------------------------------
 # Probes
@@ -491,17 +483,13 @@ def probe_modulus(f, m, box, seed=0):
     return ProbeResult(passed=True, value=margin)
 
 
-def drift_family_limit_gap(problem, eps, seed=0):
-    """Sampled sup-norm of b1^eps - b1^0 on the working box, over the quiet
-    drift's family too if there is one."""
+def drift_family_limit_gap(family, box, eps, seed=0):
+    """Sampled sup-norm of b^eps - b^0 for one drift family on ``box``; 0 for
+    a family without a perturbation."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
+    gap = family.gap_field(eps)
+    if gap is None:
+        return 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = problem.working_box.sample(rng, _PROBE_SAMPLES)
-    total = 0.0
-    for fam in (problem.drift, problem.quiet_drift):
-        gap = fam and fam.gap_field(eps)
-        if gap is None:
-            continue
-        total = max(total, float(np.max(np.linalg.norm(gap(pts), axis=1))))
-    return total
+    return float(np.max(np.linalg.norm(gap(box.sample(rng, _PROBE_SAMPLES)), axis=1)))

@@ -429,7 +429,7 @@ def simulate_transformed_degenerate(tsde, eps, n_steps, seed, path_index=0,
     return _single_path(tsde, eps, n_steps, seed, path_index, increments)
 
 
-def conjugacy_check(problem, zmap, eps, increments, tsde=None):
+def conjugacy_check(problem, zmap, eps, increments):
     """sup_k |theta(X_k) - Y_k| of each path, for X and Y driven by the same
     increments (B, n_steps, noise_dim); returns a (B,) array.
 
@@ -437,9 +437,8 @@ def conjugacy_check(problem, zmap, eps, increments, tsde=None):
     """
     from .zvonkin import theta, transform
 
-    tsde = tsde or transform(problem, zmap)
     paths = []
-    for system in (problem, tsde):
+    for system in (problem, transform(problem, zmap)):
         _, alive, path = euler(dynamics(system, eps), increments, keep_path=True)
         if not alive.all():
             raise EscapeError(path[np.argmin(alive), -1])

@@ -183,7 +183,6 @@ def gate_ito_conjugacy(seed=2024, n_paths=8):
     """
     problem, res = _dini_map()
     zmap = res.map
-    tsde = transform(problem, zmap)
     eps = 0.5
     fine_steps = 800
     dt_fine = problem.horizon_T / fine_steps
@@ -191,7 +190,7 @@ def gate_ito_conjugacy(seed=2024, n_paths=8):
     discrepancies = []
     for level in range(4):
         inc = coarsen_increments(fine, 2 ** (3 - level))
-        discrepancies.append(float(np.mean(conjugacy_check(problem, zmap, eps, inc, tsde=tsde))))
+        discrepancies.append(float(np.mean(conjugacy_check(problem, zmap, eps, inc))))
     ratios = [a / b for a, b in zip(discrepancies, discrepancies[1:])]
     ok = all(r >= 1.15 for r in ratios)
     return GateReport("ito_conjugacy_refinement", ok,
@@ -235,7 +234,7 @@ def gate_transform_rate_identity():
     control = ControlPath(hdot=0.5 * rng.standard_normal((20, 8, problem.noisy_dim)),
                           horizon_T=problem.horizon_T)
     gx = skeleton(problem, control, n_steps).states
-    gy = skeleton(problem, control, n_steps, tsde=transform(problem, zmap)).states
+    gy = skeleton(transform(problem, zmap), control, n_steps).states
     mapped = theta(zmap, gx.reshape(-1, gx.shape[-1])).reshape(gx.shape)
     worst = float(np.max(np.linalg.norm(mapped - gy, axis=-1)))
     ok = rel <= 0.02 and worst <= 10.0 * tol

@@ -52,9 +52,13 @@ class SolveFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 # Grid functions
 
-def _axis_gradient(values, axes_h, axis):
-    """Centered differences, one-sided at the boundary, along one grid axis."""
-    return np.gradient(values, axes_h[axis], axis=axis, edge_order=2)
+def _nodal_jacobian(values, h):
+    """J[..., c, i] = d v_c / d x_i at the nodes of a (*grid, m) array on a
+    grid of steps ``h``: centred differences inside, second-order one-sided
+    ones at the walls.  The one stencil of the resolvent solve's (b2 . grad) u,
+    grad u and, as the Jacobian of grad u, its Hessian."""
+    grads = np.gradient(values, *h, axis=tuple(range(len(h))), edge_order=2)
+    return np.stack(grads if len(h) > 1 else [grads], axis=-1)
 
 
 @dataclass
@@ -132,25 +136,7 @@ class GridFunction:
 
     def jacobian_grid(self):
         """J[..., c, i] = d u_c / d x_i at the nodes (finite differences)."""
-        h = self.steps()
-        m, d = self.m, len(self.axes)
-        jac = np.empty(self.grid_shape + (m, d))
-        for c in range(m):
-            for i in range(d):
-                jac[..., c, i] = _axis_gradient(self.values[..., c], h, i)
-        return jac
-
-    def hessian_grid(self):
-        """H[..., c, i, j] = d^2 u_c / d x_i d x_j at the nodes."""
-        h = self.steps()
-        m, d = self.m, len(self.axes)
-        jac = self.jacobian_grid()
-        hess = np.empty(self.grid_shape + (m, d, d))
-        for c in range(m):
-            for i in range(d):
-                for j in range(d):
-                    hess[..., c, i, j] = _axis_gradient(jac[..., c, i], h, j)
-        return hess
+        return _nodal_jacobian(self.values, self.steps())
 
     def jacobian(self, pts):
         """d u_c / d x_i, interpolated from ``jacobian_grid``, at a (B, d)
@@ -173,53 +159,35 @@ def _assemble_operator(axes, a_nodes, lam):
     """Sparse matrix of lambda*I - L with centered stencils and Neumann walls.
 
     a_nodes: (n_points, d, d) diffusion matrix sigma sigma^T at the nodes.
+    The stencil is one list of (neighbour offset, coefficient) entries: +-e_i
+    for each axis, then the four diagonal neighbours of each pair i < j, then
+    the node itself.
     """
     shape = tuple(len(ax) for ax in axes)
     d = len(shape)
-    n_pts = int(np.prod(shape))
     h = [ax[1] - ax[0] for ax in axes]
-    strides = np.array([int(np.prod(shape[k + 1:])) for k in range(d)])
-    idx_nd = np.stack(np.meshgrid(*[np.arange(n) for n in shape], indexing="ij"),
-                      axis=-1).reshape(n_pts, d)
-
-    def flat(nd):
-        return nd @ strides
-
-    rows, cols, data = [], [], []
-    diag = np.full(n_pts, lam)
-    base = np.arange(n_pts)
-
-    def add(nd_neighbor, coeff):
-        rows.append(base)
-        cols.append(flat(nd_neighbor))
-        data.append(coeff)
-
+    e = np.eye(d, dtype=int)
+    diag = np.full(a_nodes.shape[0], lam)
+    stencil = []
     for i in range(d):
-        aii = a_nodes[:, i, i]
-        coeff = 0.5 * aii / h[i] ** 2
-        for sgn in (+1, -1):
-            nb = idx_nd.copy()
-            nb[:, i] = _reflect(nb[:, i] + sgn, shape[i])
-            add(nb, -coeff)
+        coeff = 0.5 * a_nodes[:, i, i] / h[i] ** 2
+        stencil += [(e[i], -coeff), (-e[i], -coeff)]
         diag += 2 * coeff
-
     for i in range(d):
         for j in range(i + 1, d):
-            aij = a_nodes[:, i, j]
-            coeff = aij / (4.0 * h[i] * h[j])  # symmetric pair: 2 * (1/2) a_ij
-            for si, sj, sign in ((1, 1, -1.0), (-1, -1, -1.0), (1, -1, 1.0), (-1, 1, 1.0)):
-                nb = idx_nd.copy()
-                nb[:, i] = _reflect(nb[:, i] + si, shape[i])
-                nb[:, j] = _reflect(nb[:, j] + sj, shape[j])
-                add(nb, sign * coeff)
-
-    rows.append(base)
-    cols.append(base)
-    data.append(diag)
+            coeff = a_nodes[:, i, j] / (4.0 * h[i] * h[j])  # symmetric pair: 2 * (1/2) a_ij
+            stencil += [(e[i] + e[j], -coeff), (-e[i] - e[j], -coeff),
+                        (e[i] - e[j], coeff), (e[j] - e[i], coeff)]
+    stencil.append((np.zeros(d, dtype=int), diag))
+    offsets = np.array([offset for offset, _ in stencil]).T[:, :, None]   # (d, k, 1)
+    nodes = np.indices(shape).reshape(d, 1, -1)                           # (d, 1, n)
+    neighbours = _reflect(nodes + offsets, np.reshape(shape, (d, 1, 1)))
+    cols = np.ravel_multi_index(tuple(neighbours), shape)                 # (k, n)
+    rows = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
     from scipy.sparse import csr_matrix
 
-    A = csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n_pts, n_pts))
+    A = csr_matrix((np.concatenate([coeff for _, coeff in stencil]),
+                    (rows.reshape(-1), cols.reshape(-1))), shape=(cols.shape[1],) * 2)
     A.sum_duplicates()
     return A
 
@@ -235,15 +203,15 @@ def _spectral_norm(mats):
 
 
 def _measure_norms(gf):
+    d = len(gf.axes)
     u_norm = float(np.max(np.linalg.norm(gf.values, axis=-1)))
     jac = gf.jacobian_grid()
-    grad_norm = float(np.max(_spectral_norm(jac.reshape(-1, gf.m, len(gf.axes)))))
-    hess = gf.hessian_grid()
+    grad_norm = float(np.max(_spectral_norm(jac.reshape(-1, gf.m, d))))
+    # the Hessian is the nodal Jacobian of grad u, H[..., c*d + i, j] = d J_ci / d x_j;
     # sup over nodes of the Euclidean norm over components of per-component
     # Hessian spectral norms (plain sup-norm reading of the bound)
-    per_comp = _spectral_norm(hess.reshape(-1, gf.m, len(gf.axes), len(gf.axes))
-                              .reshape(-1, len(gf.axes), len(gf.axes)))
-    per_comp = per_comp.reshape(-1, gf.m)
+    hess = _nodal_jacobian(jac.reshape(gf.grid_shape + (-1,)), gf.steps())
+    per_comp = _spectral_norm(hess.reshape(-1, d, d)).reshape(-1, gf.m)
     hess_norm = float(np.max(np.linalg.norm(per_comp, axis=-1)))
     return u_norm, grad_norm, hess_norm
 
@@ -272,24 +240,13 @@ class ZvonkinMap:
         return self.u.box.shrink(MARGIN)
 
 
-def _interior_mask(shape):
-    mask = np.ones(shape, dtype=bool)
-    for axis, n in enumerate(shape):
-        sl = [slice(None)] * len(shape)
-        sl[axis] = 0
-        mask[tuple(sl)] = False
-        sl[axis] = n - 1
-        mask[tuple(sl)] = False
-    return mask.reshape(-1)
-
-
 def _transport(b2, u, h):
     """(b2 . grad) u at the nodes, by grid differences; (n_nodes, m)."""
     m = u.shape[-1]
+    jac = _nodal_jacobian(u, h).reshape(-1, m, m)
     out = np.zeros_like(b2)
-    for c in range(m):
-        for i in range(m):
-            out[:, c] += b2[:, i] * _axis_gradient(u[..., c], h, i).reshape(-1)
+    for i in range(m):      # one axis at a time into zeros: a fixed order, signed zeros too
+        out += b2[:, i, None] * jac[:, :, i]
     return out
 
 
@@ -313,7 +270,7 @@ def solve_resolvent(problem, lam, resolution=257):
 
     sigma = problem.diffusion(nodes)
     a_nodes = sigma @ np.swapaxes(sigma, -1, -2)
-    b2 = problem.singular_or_zero()(nodes)
+    b2 = np.zeros_like(nodes) if problem.singular_drift is None else problem.singular_drift(nodes)
 
     A = _assemble_operator(axes, a_nodes, lam)
     from scipy.sparse.linalg import splu
@@ -323,9 +280,7 @@ def solve_resolvent(problem, lam, resolution=257):
     u = np.zeros(grid_shape + (m,))
     update = np.inf
     for it in range(1, PICARD_MAX_ITERS + 1):
-        rhs = b2 + _transport(b2, u, h)
-        u_new = np.stack([lu.solve(rhs[:, c]) for c in range(m)], axis=-1)
-        u_new = u_new.reshape(grid_shape + (m,))
+        u_new = lu.solve(b2 + _transport(b2, u, h)).reshape(grid_shape + (m,))
         update = float(np.max(np.abs(u_new - u)))
         u = u_new
         if update < PICARD_TOL:
@@ -338,10 +293,8 @@ def solve_resolvent(problem, lam, resolution=257):
     norms = _measure_norms(gf)
 
     # interior residual of L u + b2 + (b2.grad)u - lambda u with the same stencils
-    flat_u = u.reshape(-1, m)
-    res = b2 + _transport(b2, u, h) - np.stack([A @ flat_u[:, c] for c in range(m)], axis=-1)
-    interior = _interior_mask(grid_shape)
-    residual = float(np.max(np.abs(res[interior]))) if np.any(interior) else 0.0
+    res = (b2 + _transport(b2, u, h) - A @ u.reshape(-1, m)).reshape(u.shape)
+    residual = float(np.max(np.abs(res[(slice(1, -1),) * m])))
 
     # tiny slack so a norm sum of exactly 1/2 is not rejected by roundoff
     certified = sum(norms) <= CERTIFY_NORM_SUM * (1.0 + 1e-9) + 1e-12

@@ -281,6 +281,38 @@ def test_ldp_reproducible(tmp_path):
         (tmp_path / "b" / "ladder.csv").read_text()
 
 
+def test_every_argument_reaches_the_manifest(tmp_path):
+    """Two runs that differ only in --coordinate or --rate-value write
+    different manifests."""
+    assert main(["rate", "--problem", "hamiltonian-2d", "--coordinate", "1",
+                 "--out", str(tmp_path / "rate"), "--restarts", "1",
+                 "--n-intervals", "4"]) == 0
+    assert main(["ldp", "--problem", "brownian-1d", "--coordinate", "0",
+                 "--out", str(tmp_path / "ldp"), "--n-paths", "100", "--n-steps", "4",
+                 "--eps-ladder", "1.0,0.5,0.25", "--threshold", "0.5",
+                 "--rate-value", "0.125"]) == 0
+    rate = json.loads((tmp_path / "rate" / "manifest.json").read_text())["config"]
+    ldp = json.loads((tmp_path / "ldp" / "manifest.json").read_text())["config"]
+    assert rate["coordinate"] == 1
+    assert ldp["coordinate"] == 0 and ldp["rate_value"] == 0.125
+
+
+def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
+    """Each block's gap line reads its own perturbation: 10 eps for X, eps for Y."""
+    text = files("ldplab").joinpath("problems/hamiltonian-2d.ini").read_text()
+    path = tmp_path / "perturbed.ini"
+    path.write_text(text.replace("limit_y = expr: -0.1 * tanh(x2)\n",
+                                 "limit_y = expr: -0.1 * tanh(x2)\n"
+                                 "perturbation_x = expr: 10 * eps\n"
+                                 "perturbation_y = expr: eps\n"))
+    assert main(["validate", "--problem", str(path), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    for eps, x_gap, y_gap in (("0.5", "5", "0.5"), ("0.25", "2.5", "0.25"),
+                              ("0.125", "1.25", "0.125")):
+        assert f"[PASS] x_drift_gap_eps={eps}: sup_gap={x_gap}\n" in out
+        assert f"[PASS] y_drift_gap_eps={eps}: sup_gap={y_gap}\n" in out
+
+
 @pytest.mark.parametrize("flags", [
     ["--eps-ladder", "0.5,abc"],
     ["--n-paths", "50"],

@@ -226,7 +226,9 @@ def test_registry_tanhlog_equals_composed_formula(beta, gain):
 
 def test_drift_gap_halves_for_linear_family():
     problem = load_problem("ou-1d")
-    gaps = [drift_family_limit_gap(problem, eps) for eps in (0.5, 0.25, 0.125)]
+    gaps = [drift_family_limit_gap(problem.drift, problem.working_box, eps)
+            for eps in (0.5, 0.25, 0.125)]
+    assert gaps[0] > 0
     assert gaps[0] == pytest.approx(2 * gaps[1], rel=1e-9)
     assert gaps[1] == pytest.approx(2 * gaps[2], rel=1e-9)
 

@@ -18,7 +18,8 @@ def test_bundled_suite_loads():
         if problem.quiet_drift is not None:
             assert problem.quiet_drift.at(0.25)(z).shape == (problem.n_quiet,)
         assert problem.diffusion(y).shape == (problem.noisy_dim, problem.noisy_dim)
-        assert problem.singular_or_zero()(y).shape == (problem.noisy_dim,)
+        if problem.singular_drift is not None:
+            assert problem.singular_drift(y).shape == (problem.noisy_dim,)
 
 
 def test_registry_field_params():

@@ -3,11 +3,15 @@ report the benchmark reads."""
 
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ldplab
 from ldplab import verify
 from ldplab.action import ball_target, half_space_target
 from ldplab.verify import memo_ladder, memo_solve
@@ -110,3 +114,38 @@ def test_bench_traced_calls_resolve(monkeypatch):
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (mod_name, attr)
+
+
+_TRACED_SMOKE = """
+import importlib, json, sys
+sys.path.insert(0, {bench!r})
+action, ldp, problems, simulate, zvonkin = (importlib.import_module(f"ldplab.{{m}}") for m in
+                                            ("action", "ldp", "problems", "simulate", "zvonkin"))
+import tracing
+tracer = tracing.install()
+brownian = problems.load_problem("brownian-1d")
+zvonkin.solve_resolvent(problems.load_problem("dini-tanhlog-1d"), 16.0, resolution=33)
+event = ldp.terminal_event(action.half_space_target([1.0], 0.5))
+ldp.estimate_probability(brownian, event, 0.5, 100, 16, 0)
+action.minimize_rate(problems.load_problem("ou-1d"), action.ball_target([1.0]),
+                     n_intervals=4, restarts=1)
+simulate.simulate_original(brownian, 0.5, 16, 0)
+print(json.dumps(tracer.snapshot()["counts"]))
+"""
+
+
+def test_bench_traced_smoke_run():
+    """The benchmark's tracer installed over one small call of each traced
+    layer: its hooks read result fields (``ZvonkinMap.picard_iters``,
+    ``LadderPoint.escapes``, the optimizer's ``nit``), so a field that goes
+    fails here rather than only in a traced benchmark run.  ``python -B``
+    writes no bytecode into bench/."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    env = {**os.environ, "PYTHONPATH": str(Path(ldplab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-B", "-c", _TRACED_SMOKE.format(bench=str(bench))],
+                          env=env, capture_output=True, text=True, check=True)
+    counts = json.loads(proc.stdout)
+    for key in ("zvonkin.picard_iters", "ldp.path_steps", "action.optimizer_iters",
+                "action.solves", "simulate.paths"):
+        assert counts.get(key, 0) > 0, (key, counts)
+    assert counts["ldp.path_steps"] == 100 * 16 and counts["simulate.paths"] == 1

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ldplab.model import Box, DriftFamily, Modulus, SdeProblem, VectorField
-from ldplab.problems import build_field, load_problem
-from ldplab.zvonkin import (GridFunction, SolveFailure, ZvonkinMap, find_lambda0, save_map,
-                            solve_resolvent, theta, theta_inv, transform)
+from ldplab.problems import build_field, load_problem, parse_problem_text
+from ldplab.zvonkin import (GridFunction, SolveFailure, ZvonkinMap, _assemble_operator,
+                            _measure_norms, _nodal_jacobian, _reflect, _spectral_norm,
+                            _transport, find_lambda0, save_map, solve_resolvent, theta,
+                            theta_inv, transform)
 
 
 def _problem_with_singular(func, bound, name="synthetic"):
@@ -203,3 +205,151 @@ def test_one_dimensional_grid_function_has_one_component():
     axis = np.linspace(0.0, 1.0, 17)
     with pytest.raises(ValueError, match="one component"):
         GridFunction(box=Box.cube(1, 1.0), axes=[axis], values=np.zeros((17, 2)))
+
+
+def test_dini_certificate_recorded(dini_lambda0):
+    """dini-tanhlog-1d's certificate on the 257-point grid."""
+    zmap = dini_lambda0.map
+    assert dini_lambda0.lambda0 == 16.0
+    assert zmap.norm_sum == pytest.approx(0.4661068269956721, rel=1e-12)
+    assert zmap.picard_iters == 11
+
+
+# The resolvent solve's stencils written out one component and one axis at a time.
+
+def _axis_gradient(values, h, axis):
+    return np.gradient(values, h[axis], axis=axis, edge_order=2)
+
+
+def _reference_jacobian(values, h):
+    m, d = values.shape[-1], len(h)
+    jac = np.empty(values.shape[:-1] + (m, d))
+    for c in range(m):
+        for i in range(d):
+            jac[..., c, i] = _axis_gradient(values[..., c], h, i)
+    return jac
+
+
+def _reference_hessian(values, h):
+    jac = _reference_jacobian(values, h)
+    m, d = jac.shape[-2:]
+    hess = np.empty(jac.shape + (d,))
+    for c in range(m):
+        for i in range(d):
+            for j in range(d):
+                hess[..., c, i, j] = _axis_gradient(jac[..., c, i], h, j)
+    return hess
+
+
+def _reference_transport(b2, u, h):
+    out = np.zeros_like(b2)
+    for c in range(u.shape[-1]):
+        for i in range(u.shape[-1]):
+            out[:, c] += b2[:, i] * _axis_gradient(u[..., c], h, i).reshape(-1)
+    return out
+
+
+def _reference_operator(axes, a_nodes, lam):
+    """lambda - L as COO triplets: the +-e_i neighbours axis by axis, then the
+    four diagonal neighbours of each pair i < j, then the diagonal."""
+    from scipy.sparse import csr_matrix
+
+    shape = tuple(len(ax) for ax in axes)
+    d, n_pts = len(shape), int(np.prod(shape))
+    h = [ax[1] - ax[0] for ax in axes]
+    strides = np.array([int(np.prod(shape[k + 1:])) for k in range(d)])
+    idx_nd = np.stack(np.meshgrid(*[np.arange(n) for n in shape], indexing="ij"),
+                      axis=-1).reshape(n_pts, d)
+    base = np.arange(n_pts)
+    rows, cols, data = [], [], []
+    diag = np.full(n_pts, lam)
+
+    def add(nd_neighbor, coeff):
+        rows.append(base)
+        cols.append(nd_neighbor @ strides)
+        data.append(coeff)
+
+    for i in range(d):
+        coeff = 0.5 * a_nodes[:, i, i] / h[i] ** 2
+        for sgn in (+1, -1):
+            nb = idx_nd.copy()
+            nb[:, i] = _reflect(nb[:, i] + sgn, shape[i])
+            add(nb, -coeff)
+        diag += 2 * coeff
+    for i in range(d):
+        for j in range(i + 1, d):
+            coeff = a_nodes[:, i, j] / (4.0 * h[i] * h[j])
+            for si, sj, sign in ((1, 1, -1.0), (-1, -1, -1.0), (1, -1, 1.0), (-1, 1, 1.0)):
+                nb = idx_nd.copy()
+                nb[:, i] = _reflect(nb[:, i] + si, shape[i])
+                nb[:, j] = _reflect(nb[:, j] + sj, shape[j])
+                add(nb, sign * coeff)
+    add(idx_nd, diag)
+    A = csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n_pts, n_pts))
+    A.sum_duplicates()
+    return A
+
+
+_OFF_DIAGONAL_2D = """
+[problem]
+name = off-diagonal-2d
+dims = 2
+box_lo = -3.0
+box_hi = 3.0
+
+[drift]
+limit = expr: 0; 0
+
+[singular]
+field = expr: 0.8 * tanh(3 * x1) * cos(x2); 0.5 * sin(2 * x2)
+
+[modulus]
+kind = lipschitz
+l = 4
+
+[diffusion]
+field = expr: 1; 0.3; 0; 1
+"""
+
+
+def _random_grid():
+    """A 2-D, two-component grid with unequal steps and a full sigma sigma^T."""
+    rng = np.random.Generator(np.random.Philox(key=7))
+    axes = [np.linspace(-1.0, 2.0, 19), np.linspace(-0.5, 0.5, 23)]
+    u = rng.standard_normal((19, 23, 2))
+    sigma = rng.standard_normal((19 * 23, 2, 2))
+    return axes, sigma @ np.swapaxes(sigma, -1, -2), rng.standard_normal((19 * 23, 2)), u
+
+
+def _off_diagonal_problem():
+    problem = parse_problem_text(_OFF_DIAGONAL_2D)
+    zmap = solve_resolvent(problem, 8.0, resolution=33)
+    axes = zmap.u.axes
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    sigma = problem.diffusion(nodes)
+    return (axes, sigma @ np.swapaxes(sigma, -1, -2), problem.singular_drift(nodes),
+            zmap.u.values)
+
+
+@pytest.mark.parametrize("case", [_random_grid, _off_diagonal_problem],
+                         ids=["random-grid", "off-diagonal-problem"])
+def test_stencils_match_per_axis_reference(case):
+    """The nodal Jacobian, the Hessian behind the norms, the transport term and
+    the operator equal their per-axis forms bit for bit."""
+    axes, a_nodes, b2, u = case()
+    h = [ax[1] - ax[0] for ax in axes]
+    gf = GridFunction(box=Box.of([ax[0] for ax in axes], [ax[-1] for ax in axes]),
+                      axes=axes, values=u)
+    jac, hess = _reference_jacobian(u, h), _reference_hessian(u, h)
+    assert gf.jacobian_grid().tobytes() == jac.tobytes()
+    assert _nodal_jacobian(jac.reshape(u.shape[:-1] + (-1,)), h).tobytes() == hess.tobytes()
+    per_comp = _spectral_norm(hess.reshape(-1, 2, 2)).reshape(-1, 2)
+    assert _measure_norms(gf) == (float(np.max(np.linalg.norm(u, axis=-1))),
+                                  float(np.max(_spectral_norm(jac.reshape(-1, 2, 2)))),
+                                  float(np.max(np.linalg.norm(per_comp, axis=-1))))
+    assert _transport(b2, u, h).tobytes() == _reference_transport(b2, u, h).tobytes()
+    for lam in (2.0, 8.0):
+        new, ref = _assemble_operator(axes, a_nodes, lam), _reference_operator(axes, a_nodes, lam)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(new, part).tobytes() == getattr(ref, part).tobytes(), part
