@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .simulate import apply_noise, dynamics
-from .zvonkin import theta, transform
+from .zvonkin import transform
 
 __all__ = [
     "ControlPath",
@@ -145,9 +145,13 @@ class Target:
 
 
 def ball_target(center, radius=0.0, coords=None):
+    """Closed ball of ``radius`` about ``center``; ``ValueError`` unless the
+    center is finite and the radius finite and non-negative."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if radius < 0:
-        raise ValueError(f"ball radius must be non-negative, got {radius}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"ball center must be finite, got {center.tolist()}")
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"ball radius must be finite and non-negative, got {radius}")
 
     def dist(x):
         return np.linalg.norm(np.atleast_2d(x) - center, axis=-1) - radius
@@ -162,9 +166,15 @@ def ball_target(center, radius=0.0, coords=None):
 
 
 def half_space_target(normal, offset, coords=None):
-    """Set {x : normal . x >= offset}; signed distance (offset - n.x)/|n|."""
+    """Set {x : normal . x >= offset}; signed distance (offset - n.x)/|n|.
+    ``ValueError`` unless the normal is finite and nonzero and the offset
+    finite."""
     normal = np.atleast_1d(np.asarray(normal, dtype=float))
     norm = np.linalg.norm(normal)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"half-space normal must be finite and nonzero, got {normal.tolist()}")
+    if not np.isfinite(offset):
+        raise ValueError(f"half-space offset must be finite, got {offset}")
 
     def dist(x):
         return (offset - np.atleast_2d(x) @ normal) / norm
@@ -216,26 +226,23 @@ def minimize(*args, **kwargs):
     return scipy.optimize.minimize(*args, **kwargs)
 
 
-def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None):
+def minimize_rate(system, target, n_intervals=32, restarts=8, seed=0):
     """Minimum action over paths from the start to ``target`` (a set in
-    original coordinates), for ``problem`` or, given ``tsde``, for its
-    transformed system: the best of ``restarts`` L-BFGS-B runs."""
+    original coordinates), for an SdeProblem or a TransformedSde: the best
+    of ``restarts`` L-BFGS-B runs."""
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if n_intervals < 1:
         raise ValueError("n_intervals must be at least 1")
-    dyn = dynamics(problem if tsde is None else tsde, 0.0)
+    dyn = dynamics(system, 0.0)
     q, dim, n = dyn.n_quiet, dyn.x0.size, n_intervals
     m, dt = dim - q, dyn.horizon / n
     nearest = _noisy_projection(target, q, dim)
 
-    def to_system(y):
-        return y if tsde is None else theta(tsde.map, y)
-
     def paths(unknowns):
         """(R, n*m) unknowns -> (R, n+1, dim) paths in the system's coordinates."""
         y = unknowns.reshape(-1, n, m).copy()
-        y[:, -1] = to_system(nearest(y[:, -1]))
+        y[:, -1] = dyn.from_original(nearest(y[:, -1]))
         y = np.concatenate([np.broadcast_to(dyn.x0[q:], (len(y), 1, m)), y], axis=1)
         if q == 0:
             return y
@@ -266,17 +273,17 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
                                  axis=(1, 2))
         return vals[0], (vals[1:u.size + 1] - vals[u.size + 1:]) / (2 * _FD_STEP)
 
-    y0 = problem.start[q:].astype(float)
+    y0 = system.start[q:].astype(float)
     p = nearest(y0[None])[0]
     end = p + _INSIDE * (p - y0)
-    line = dyn.x0[q:] + np.arange(1, n + 1)[:, None] / n * (to_system(end[None])[0] - dyn.x0[q:])
+    line = dyn.x0[q:] + np.arange(1, n + 1)[:, None] / n * (dyn.from_original(end[None])[0]
+                                                             - dyn.x0[q:])
     line[-1] = end                    # the last unknown is in original coordinates
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = [line.ravel()] + [line.ravel() + _SPREAD * rng.standard_normal(n * m)
                                for _ in range(restarts - 1)]
     # the system's box: theta and its inverse are defined only on the map's grid
-    box = problem.noisy_box() if tsde is None else tsde.map.interior_box()
-    bounds = list(zip(np.tile(box.lo, n), np.tile(box.hi, n)))
+    bounds = list(zip(np.tile(dyn.box.lo[q:], n), np.tile(dyn.box.hi[q:], n)))
 
     runs = [minimize(fun_and_grad, start, jac=True, method="L-BFGS-B", bounds=bounds,
                      options=_OPTIONS) for start in starts]
@@ -292,4 +299,4 @@ def minimize_rate(problem, target, n_intervals=32, restarts=8, seed=0, tsde=None
 def rate_via_transform(problem, zmap, target, **kwargs):
     """``minimize_rate`` on the system transformed by ``zmap``'s theta, for
     the same target in original coordinates."""
-    return minimize_rate(problem, target, tsde=transform(problem, zmap), **kwargs)
+    return minimize_rate(transform(problem, zmap), target, **kwargs)

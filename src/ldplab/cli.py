@@ -94,7 +94,7 @@ def verb_validate(args):
         checks.append((f"{label}_lipschitz", ok,
                        f"probed={probed:.4g} declared={problem.lipschitz_L}"))
         for eps in (0.5, 0.25, 0.125):
-            if fam.gap_field(eps) is None:
+            if fam.perturbation is None:
                 break
             gap = drift_family_limit_gap(fam, problem.working_box, eps, seed=args.seed)
             checks.append((f"{label}_gap_eps={eps}", True, f"sup_gap={gap:.4g}"))
@@ -157,8 +157,11 @@ def verb_simulate(args):
         return _fail("--eps must lie in [0, 1]; --n-steps and --n-paths must be positive",
                      EXIT_INPUT_ERROR)
     dt = problem.horizon_T / args.n_steps
-    increments = brownian_increments(args.seed, range(args.n_paths), args.n_steps,
-                                     problem.noisy_dim, dt)
+    try:
+        increments = brownian_increments(args.seed, range(args.n_paths), args.n_steps,
+                                         problem.noisy_dim, dt)
+    except ValueError as exc:    # path indices beyond the noise keying's range
+        return _fail(str(exc), EXIT_INPUT_ERROR)
     _, alive, paths = euler(dynamics(problem, args.eps), increments, keep_path=True)
     times = np.arange(args.n_steps + 1) * dt
     for i in range(args.n_paths):
@@ -181,7 +184,7 @@ def verb_simulate(args):
 
 def _make_target(args, problem):
     """The event's target set; an invalid one (a coordinate outside the state, a
-    negative radius) is an input error."""
+    negative or non-finite radius, a non-finite threshold) is an input error."""
     if args.coordinate is not None and not 0 <= args.coordinate < problem.state_dim:
         raise SystemExit(_fail(f"--coordinate must lie in [0, {problem.state_dim}), "
                                f"got {args.coordinate}", EXIT_INPUT_ERROR))
@@ -190,11 +193,10 @@ def _make_target(args, problem):
         coords = (problem.state_dim - 1,)
     elif args.coordinate is not None:
         coords = (args.coordinate,)
-    if args.event == "terminal-above":
-        normal = [1.0]
-        return half_space_target(normal, args.threshold, coords=coords)
     center = [args.threshold] if coords else [args.threshold] * problem.state_dim
     try:
+        if args.event == "terminal-above":
+            return half_space_target([1.0], args.threshold, coords=coords)
         return ball_target(center, radius=args.radius, coords=coords)
     except ValueError as exc:
         raise SystemExit(_fail(str(exc), EXIT_INPUT_ERROR))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -119,14 +119,14 @@ def _chunk_increments(seed, point_index, path_lo, path_hi, n_steps, dim, dt):
     return NoiseStream(seed, range(path_lo, path_hi), n_steps, dim, dt, point=point_index)
 
 
-def _simulate_chunk(problem, event, eps, n_steps, increments, with_singular=True):
+def _simulate_chunk(problem, event, eps, n_steps, increments):
     """Euler-Maruyama over one chunk driven by ``increments`` (an array or a
     ``NoiseStream``); returns (hit mask, escaped mask).
 
     Escaped paths are frozen at their last in-box state and excluded from the
     hit count by the caller.
     """
-    z, alive, _ = euler(dynamics(problem, eps, with_singular), increments)
+    z, alive, _ = euler(dynamics(problem, eps), increments)
     return event.target.distance(z) <= 0.0, ~alive
 
 
@@ -136,11 +136,14 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
     and the time spent drawing noise (the slice draws of each chunk's stream,
     summed over its drawing threads) and the wall time spent stepping paths
     (the rest, less the stepper's waits for a slice).  Each point is logged
-    at DEBUG level to this module's logger."""
+    at DEBUG level to this module's logger.  ``with_singular=False`` steps
+    a copy of ``problem`` without its vanishing term eps*b2."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
+    if not with_singular:
+        problem = replace(problem, singular_drift=None)
     dt = problem.horizon_T / n_steps
     hits = 0
     escapes = 0
@@ -149,7 +152,7 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
         hi = min(lo + _CHUNK, n_paths)
         t0 = perf_counter()
         noise = _chunk_increments(seed, point_index, lo, hi, n_steps, problem.noisy_dim, dt)
-        hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, noise, with_singular)
+        hit_mask, esc_mask = _simulate_chunk(problem, event, eps, n_steps, noise)
         noise_s += noise.draw_s
         step_s += perf_counter() - t0 - noise.wait_s
         hits += int(np.sum(hit_mask & ~esc_mask))

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .expr import EvaluationError, Expression, ParseError, parse_expression
+from .expr import EvaluationError, ParseError, parse_expression
 
 __all__ = [
     "Box",
@@ -94,67 +95,52 @@ class Box:
 
 @dataclass
 class Modulus:
-    """Modulus-of-continuity descriptor phi.
+    """Modulus-of-continuity descriptor phi: its kind and its formula on t > 0.
 
-    kinds: dini_log(beta) -> phi(t) = (log(1 + 1/t))^(-beta)
+    kinds: dini_log(beta) -> phi(t) = (log(1 + 1/t))^(-beta), beta > 0
            holder(alpha)  -> phi(t) = t^alpha, alpha in (0,1)
-           lipschitz(L)   -> phi(t) = L*t
+           lipschitz(L)   -> phi(t) = L*t, L finite and >= 0
            expression     -> user expression in the variable t (t > 0)
     """
 
     kind: str
-    beta: float = 0.0
-    alpha: float = 0.0
-    L: float = 0.0
-    expression: Expression | None = None
-
-    def __post_init__(self):
-        if self.kind == "dini_log" and not self.beta > 0:
-            raise ValueError("dini_log needs beta > 0")
-        if self.kind == "holder" and not (0.0 < self.alpha < 1.0):
-            raise ValueError("holder needs alpha in (0,1)")
-        if self.kind == "lipschitz" and self.L < 0:
-            raise ValueError("lipschitz needs L >= 0")
-        if self.kind == "expression" and self.expression is None:
-            raise ValueError("expression modulus needs a parsed expression")
-        if self.kind not in ("dini_log", "holder", "lipschitz", "expression"):
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
+    formula: Callable     # (n,) array of t > 0 -> (n,) phi(t)
 
     @staticmethod
     def dini_log(beta):
-        return Modulus(kind="dini_log", beta=beta)
+        if not beta > 0:
+            raise ValueError("dini_log needs beta > 0")
+        return Modulus("dini_log", lambda t: np.log1p(1.0 / t) ** (-beta))
 
     @staticmethod
     def holder(alpha):
-        return Modulus(kind="holder", alpha=alpha)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("holder needs alpha in (0,1)")
+        return Modulus("holder", lambda t: t ** alpha)
 
     @staticmethod
     def lipschitz(L):
-        return Modulus(kind="lipschitz", L=L)
+        if not 0.0 <= L < math.inf:
+            raise ValueError("lipschitz needs a finite L >= 0")
+        return Modulus("lipschitz", lambda t: L * t)
 
     @staticmethod
     def from_expression(text):
-        return Modulus(kind="expression", expression=parse_expression(text, ["t"]))
+        expression = parse_expression(text, ["t"])
+        return Modulus("expression", lambda t: expression(t=t))
 
     def phi(self, t):
+        """phi(t) for t >= 0, with phi(0) = 0; ``EvaluationError`` for a
+        negative t or a negative or non-finite value."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise EvaluationError("modulus argument must be nonnegative")
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.empty_like(t)
+        out = np.zeros_like(t)
         pos = t > 0
-        if self.kind == "dini_log":
-            out[~pos] = 0.0
-            out[pos] = np.log1p(1.0 / t[pos]) ** (-self.beta)
-        elif self.kind == "holder":
-            out = t ** self.alpha
-        elif self.kind == "lipschitz":
-            out = self.L * t
-        else:
-            out[~pos] = 0.0
-            if np.any(pos):
-                out[pos] = self.expression(t=t[pos])
+        if np.any(pos):
+            out[pos] = self.formula(t[pos])
         if np.any(out < 0) or not np.all(np.isfinite(out)):
             raise EvaluationError("modulus must be nonnegative and finite")
         return out[0] if scalar else out
@@ -172,10 +158,6 @@ class DiniVerdict:
     value: float  # extrapolated integral for finite, last partial value otherwise
     partials: list  # (cutoff, integral from cutoff to 1)
     decay_exponent: float | None = None
-
-    @property
-    def label(self):
-        return "finite" if self.finite else "divergent"
 
 
 def _aitken_limit(values):
@@ -327,11 +309,6 @@ class DriftFamily:
 
         return VectorField(in_dim=limit.in_dim, out_dim=limit.out_dim, func=func,
                            name=f"{limit.name}+pert(eps={eps})")
-
-    def gap_field(self, eps):
-        if self.perturbation is None:
-            return None
-        return self.perturbation(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +465,8 @@ def drift_family_limit_gap(family, box, eps, seed=0):
     a family without a perturbation."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    gap = family.gap_field(eps)
-    if gap is None:
+    if family.perturbation is None:
         return 0.0
+    gap = family.perturbation(eps)
     rng = np.random.Generator(np.random.Philox(key=seed))
     return float(np.max(np.linalg.norm(gap(box.sample(rng, _PROBE_SAMPLES)), axis=1)))

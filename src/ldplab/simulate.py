@@ -25,6 +25,7 @@ import os
 import threading
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from queue import SimpleQueue
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -257,17 +258,19 @@ class Dynamics(NamedTuple):
     batch, or, for a constant sigma, the one (noise_dim, noise_dim) matrix;
     ``apply_noise`` applies either to a batch of vectors.  The noise-free
     block's drift is also given on its own, ``quiet_drift``, over states
-    whose noisy part is in original coordinates, where ``to_original`` takes
-    it (theta^{-1} for a transformed system, the identity otherwise).
+    whose noisy part is in original coordinates.  ``to_original`` takes a
+    noisy state there and ``from_original`` back (theta^{-1} and theta for a
+    transformed system, the identity otherwise).
     """
 
     x0: np.ndarray
     coefficients: Callable        # (B, dim) -> ((B, dim), (B, m, m) or (m, m))
-    inside: Callable              # (B, dim) -> (B,) bool: the box paths must stay in
+    box: Box                      # the box paths must stay in
     n_quiet: int                  # leading noise-free coordinates (d1, or 0)
     eps: float
     horizon: float
     to_original: Callable         # (B, m) noisy states -> (B, m) in original coordinates
+    from_original: Callable       # (B, m) noisy states in original coordinates -> (B, m)
     quiet_drift: Callable | None  # (B, dim) states (x, original y) -> (B, n_quiet); None if 0
 
 
@@ -282,28 +285,28 @@ def apply_noise(sigma, v):
     return np.dot(v, sigma.T)         # for small m much faster than ``v @ sigma.T``
 
 
-def dynamics(system, eps, with_singular=True):
+def dynamics(system, eps):
     """The ``Dynamics`` of an SdeProblem or a TransformedSde, with or without a
     noise-free block.
 
-    An SdeProblem lives on its working box; ``with_singular=False`` drops its
-    vanishing term eps*b2.  Its fields are called raw (``VectorField.func``),
-    without the public call's shape and finiteness checks: a non-finite
-    drift makes a non-finite step, which the box test marks as escaped.  A
-    sigma declared constant (``lipschitz_const == 0``) is evaluated once, at
-    the start.  A TransformedSde lives on theta's interior box (its
-    noise-free block, if any, on the working box) and always carries the
-    transformed singular term.  ``ValueError`` unless 0 <= eps <= 1.
+    An SdeProblem lives on its working box.  Its fields are called raw
+    (``VectorField.func``), without the public call's shape and finiteness
+    checks: a non-finite drift makes a non-finite step, which the box test
+    marks as escaped.  A sigma declared constant (``lipschitz_const == 0``)
+    is evaluated once, at the start.  A TransformedSde lives on theta's
+    interior box (its noise-free block, if any, on the working box) and
+    starts from theta of its base problem's start.  ``ValueError`` unless
+    0 <= eps <= 1.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if isinstance(system, SdeProblem):
-        return _original_dynamics(system, eps, with_singular)
+        return _original_dynamics(system, eps)
     return _transformed_dynamics(system, eps)
 
 
-def _original_dynamics(problem, eps, with_singular):
-    singular = problem.singular_drift if with_singular and eps != 0.0 else None
+def _original_dynamics(problem, eps):
+    singular = problem.singular_drift if eps != 0.0 else None
     b2 = None if singular is None else singular.func
     q = problem.n_quiet
     x0 = problem.start.astype(float)
@@ -324,8 +327,8 @@ def _original_dynamics(problem, eps, with_singular):
             out = out + eps * b2(y)
         return (np.concatenate([quiet_drift(z), out], axis=1) if q else out), sigma(y)
 
-    return Dynamics(x0, coefficients, problem.working_box.contains, q, eps, problem.horizon_T,
-                    _identity, quiet_drift)
+    return Dynamics(x0, coefficients, problem.working_box, q, eps, problem.horizon_T,
+                    _identity, _identity, quiet_drift)
 
 
 def _identity(y):
@@ -333,11 +336,16 @@ def _identity(y):
 
 
 def _transformed_dynamics(tsde, eps):
-    base, ibox, q = tsde.base, tsde.map.interior_box(), tsde.n_quiet
+    from .zvonkin import theta, theta_inv     # looked up per call, so a patch is seen
+
+    base, zmap, q = tsde.base, tsde.map, tsde.n_quiet
+    ibox = zmap.interior_box()
     box = Box(lo=np.concatenate([base.working_box.lo[:q], ibox.lo]),
               hi=np.concatenate([base.working_box.hi[:q], ibox.hi]))
-    return Dynamics(tsde.start().astype(float), tsde.coefficients(eps), box.contains, q, eps,
-                    base.horizon_T, tsde.to_original,
+    start = tsde.start
+    x0 = np.concatenate([start[:q], theta(zmap, start[q:])]).astype(float)
+    return Dynamics(x0, tsde.coefficients(eps), box, q, eps, base.horizon_T,
+                    partial(theta_inv, zmap), partial(theta, zmap),
                     base.quiet_drift.at(eps) if q else None)
 
 
@@ -377,7 +385,7 @@ def euler(dyn, increments, keep_path=False):
             step = z + drift * dt
             if dyn.eps != 0.0:
                 step[:, q:] += sqrt_eps * apply_noise(sigma, dw)
-            alive &= dyn.inside(step)
+            alive &= dyn.box.contains(step)
             # step is a new array: while no row has escaped it is taken whole,
             # which saves np.where's copy (about 8% of mc-ladder's wall_ref)
             z = step if alive.all() else np.where(alive[:, None], step, z)
@@ -386,10 +394,10 @@ def euler(dyn, increments, keep_path=False):
     return z, alive, path
 
 
-def _single_path(system, eps, n_steps, seed, path_index, increments, with_singular=True):
+def _single_path(system, eps, n_steps, seed, path_index, increments):
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    dyn = dynamics(system, eps, with_singular)
+    dyn = dynamics(system, eps)
     dt = dyn.horizon / n_steps
     if increments is None:
         noise_dim = dyn.x0.size - dyn.n_quiet
@@ -404,10 +412,9 @@ def _single_path(system, eps, n_steps, seed, path_index, increments, with_singul
                       epsilon=eps, dt=dt)
 
 
-def simulate_original(problem, eps, n_steps, seed, path_index=0, increments=None,
-                      with_singular=True):
+def simulate_original(problem, eps, n_steps, seed, path_index=0, increments=None):
     """dX = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW on the working box."""
-    return _single_path(problem, eps, n_steps, seed, path_index, increments, with_singular)
+    return _single_path(problem, eps, n_steps, seed, path_index, increments)
 
 
 def simulate_transformed(tsde, eps, n_steps, seed, path_index=0, increments=None):
@@ -415,12 +422,11 @@ def simulate_transformed(tsde, eps, n_steps, seed, path_index=0, increments=None
     return _single_path(tsde, eps, n_steps, seed, path_index, increments)
 
 
-def simulate_degenerate(problem, eps, n_steps, seed, path_index=0, increments=None,
-                        with_singular=True):
+def simulate_degenerate(problem, eps, n_steps, seed, path_index=0, increments=None):
     """dX = f^eps dt (no noise); dY = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW."""
     if not problem.n_quiet:
         raise ValueError("problem is not in the degenerate layout")
-    return _single_path(problem, eps, n_steps, seed, path_index, increments, with_singular)
+    return _single_path(problem, eps, n_steps, seed, path_index, increments)
 
 
 def simulate_transformed_degenerate(tsde, eps, n_steps, seed, path_index=0,

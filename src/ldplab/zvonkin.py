@@ -401,18 +401,15 @@ class TransformedSde:
         """Leading noise-free coordinates left unchanged by theta (d1, or 0)."""
         return self.base.n_quiet
 
+    @property
     def start(self):
-        x0, q = self.base.start, self.n_quiet
-        return np.concatenate([x0[:q], theta(self.map, x0[q:])])
-
-    def to_original(self, yt):
-        """theta^{-1} of a (B, m) batch of transformed noisy states."""
-        return theta_inv(self.map, yt)
+        """The base problem's start, in original coordinates."""
+        return self.base.start
 
     def pullback(self, yt):
         """(y, grad theta(y), grad theta(y) sigma(y)) at y = theta^{-1}(yt),
         for a (B, m) batch of transformed noisy states."""
-        y = self.to_original(yt)
+        y = theta_inv(self.map, yt)
         grad = self.map.u.jacobian(y) + np.eye(self.map.u.m)
         return y, grad, grad @ self.base.diffusion(y)
 

@@ -64,6 +64,24 @@ def test_ball_negative_radius_raises():
         ball_target([1.0], radius=-0.1)
 
 
+@pytest.mark.parametrize("make, needle", [
+    (lambda: ball_target([1.0], radius=float("nan")), "radius"),
+    (lambda: ball_target([1.0], radius=float("inf")), "radius"),
+    (lambda: ball_target([float("inf")]), "center"),
+    (lambda: ball_target([0.0, float("nan")]), "center"),
+    (lambda: half_space_target([1.0], float("inf")), "offset"),
+    (lambda: half_space_target([1.0], float("nan")), "offset"),
+    (lambda: half_space_target([0.0, 0.0], 1.0), "normal"),
+    (lambda: half_space_target([float("nan")], 1.0), "normal"),
+], ids=["nan-radius", "infinite-radius", "infinite-center", "nan-center",
+        "infinite-offset", "nan-offset", "zero-normal", "nan-normal"])
+def test_targets_refuse_invalid_parameters(make, needle):
+    """A target whose parameters are not finite, or whose normal is zero, is
+    refused when it is made, before its distance divides by zero."""
+    with pytest.raises(ValueError, match=needle):
+        make()
+
+
 def test_minimize_free_endpoint_matches_quadratic():
     problem = load_problem("free-endpoint")
     res = minimize_rate(problem, ball_target([1.0]), n_intervals=16, restarts=3, seed=0)

@@ -169,6 +169,23 @@ def test_simulate_writes_paths(tmp_path):
     assert header == "t,z1"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n-paths", "0"],
+    ["--n-steps", "0"],
+    ["--eps", "1.5"],
+    ["--eps", "nan"],
+    ["--n-paths", str(2 ** 40 + 1), "--n-steps", "1"],
+], ids=["zero-paths", "zero-steps", "eps-above-one", "nan-eps", "paths-beyond-key-range"])
+def test_simulate_input_errors_exit_2(tmp_path, capsys, flags):
+    """Each refused input exits 2 with one ``error:`` line and writes no path;
+    the path range is refused by the noise stream before any allocation."""
+    code = main(["simulate", "--problem", "brownian-1d", "--out", str(tmp_path), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("path_*.csv"))
+
+
 def test_simulate_counts_escapes_from_one_batch(tmp_path):
     narrow = tmp_path / "narrow.ini"
     narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
@@ -236,8 +253,11 @@ def test_rate_verb_records_restarts(tmp_path):
     ["--problem", "brownian-1d", "--coordinate", "-1"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "-1"],
     ["--problem", "brownian-1d", "--n-intervals", "0"],
+    ["--problem", "brownian-1d", "--threshold", "nan"],
+    ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "nan"],
+    ["--problem", "brownian-1d", "--event", "terminal-ball", "--threshold", "inf"],
 ], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-coordinate",
-        "negative-radius", "zero-intervals"])
+        "negative-radius", "zero-intervals", "nan-threshold", "nan-radius", "infinite-center"])
 def test_rate_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["rate", "--out", str(tmp_path), "--restarts", "1", "--n-intervals", "4",
                  *flags])
@@ -320,8 +340,12 @@ def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
     ["--eps-ladder", "1.0,-0.5,0.25"],
     ["--coordinate", "3"],
     ["--coordinate", "-1"],
+    ["--threshold", "inf"],
+    ["--threshold", "nan"],
+    ["--event", "terminal-ball", "--radius", "nan"],
 ], ids=["eps-not-a-number", "too-few-paths", "zero-steps", "negative-eps",
-        "coordinate-outside-state", "negative-coordinate"])
+        "coordinate-outside-state", "negative-coordinate", "infinite-threshold",
+        "nan-threshold", "nan-radius"])
 def test_ldp_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
                  "--n-paths", "200", "--n-steps", "16", *flags])

@@ -141,11 +141,26 @@ def test_ladder_point_never_holds_its_increments():
 
 
 def test_estimate_leaves_event_unchanged():
+    """Without the singular drift a ladder point steps a copy of the problem:
+    the caller's event and problem keep what they had."""
     problem = load_problem("dini-tanhlog-1d")
+    singular = problem.singular_drift
     event = terminal_event(half_space_target([1.0], 1.0))
     before = dict(vars(event))
     estimate_probability(problem, event, 0.5, 200, 16, seed=0, with_singular=False)
     assert vars(event) == before
+    assert problem.singular_drift is singular is not None
+
+
+def test_estimate_without_singular_steps_the_problem_without_it():
+    """``with_singular=False`` gives, hit for hit, the point of the same
+    problem with its singular drift removed."""
+    problem = load_problem("dini-tanhlog-1d")
+    event = terminal_event(half_space_target([1.0], 1.0))
+    dropped = estimate_probability(problem, event, 0.5, 2000, 32, seed=3, with_singular=False)
+    problem.singular_drift = None
+    removed = estimate_probability(problem, event, 0.5, 2000, 32, seed=3)
+    assert dropped.hits == removed.hits and dropped.escapes == removed.escapes
 
 
 def test_fit_slope_exact_exponential():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldplab import model
-from ldplab.expr import parse_expression
+from ldplab.expr import EvaluationError, parse_expression
 from ldplab.model import (Box, Modulus, coordinate_function, dini_classify,
                           drift_family_limit_gap, parse_field, probe_ellipticity,
                           probe_lipschitz, probe_modulus)
@@ -82,6 +82,29 @@ def test_modulus_values():
     assert m.phi(t) == pytest.approx(np.log1p(1 / t) ** -2)
     assert Modulus.holder(0.5).phi(0.25) == pytest.approx(0.5)
     assert Modulus.lipschitz(3.0).phi(0.2) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Modulus.dini_log(0.0), lambda: Modulus.dini_log(float("nan")),
+    lambda: Modulus.holder(0.0), lambda: Modulus.holder(1.0),
+    lambda: Modulus.holder(float("nan")), lambda: Modulus.lipschitz(-1.0),
+    lambda: Modulus.lipschitz(float("nan")), lambda: Modulus.lipschitz(float("inf")),
+], ids=["dini-zero", "dini-nan", "holder-zero", "holder-one", "holder-nan",
+        "lipschitz-negative", "lipschitz-nan", "lipschitz-inf"])
+def test_modulus_constructors_check_their_parameter(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("modulus", [Modulus.dini_log(2.0), Modulus.holder(0.5),
+                                     Modulus.lipschitz(3.0), Modulus.from_expression("log(t)")],
+                         ids=["dini_log", "holder", "lipschitz", "expression"])
+def test_modulus_phi_domain(modulus):
+    """phi(0) = 0 without calling the formula (log(0) would fail), and a
+    negative argument is refused, whatever the kind."""
+    assert modulus.phi(np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+    with pytest.raises(EvaluationError):
+        modulus.phi(-0.5)
 
 
 def test_modulus_monotone_check():

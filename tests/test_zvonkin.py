@@ -6,6 +6,7 @@ import pytest
 
 from ldplab.model import Box, DriftFamily, Modulus, SdeProblem, VectorField
 from ldplab.problems import build_field, load_problem, parse_problem_text
+from ldplab.simulate import dynamics
 from ldplab.zvonkin import (GridFunction, SolveFailure, ZvonkinMap, _assemble_operator,
                             _measure_norms, _nodal_jacobian, _reflect, _spectral_norm,
                             _transport, find_lambda0, save_map, solve_resolvent, theta,
@@ -110,8 +111,11 @@ def test_transform_drift_is_lipschitz(dini_problem, dini_map):
 
 
 def test_transform_start_maps_through_theta(dini_problem, dini_map):
+    """A transformed system's start is its base problem's, in original
+    coordinates, as an SdeProblem's is; its dynamics start from theta of it."""
     tsde = transform(dini_problem, dini_map)
-    assert np.allclose(tsde.start(), theta(dini_map, dini_problem.start))
+    assert tsde.start is dini_problem.start
+    assert np.array_equal(dynamics(tsde, 0.5).x0, theta(dini_map, dini_problem.start))
 
 
 def test_save_map_files(dini_map, tmp_path):
