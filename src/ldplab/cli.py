@@ -1,8 +1,11 @@
 """Command-line entry point: validate | zvonkin | simulate | rate | ldp | verify.
 
-Every verb resolves its configuration, writes a manifest echoing it, and
-emits machine-readable outputs under --out.  Exit codes: 0 success,
-1 gate/probe failure, 2 input error, 3 numerical non-convergence.
+Every verb resolves its configuration into its parsed arguments and emits
+machine-readable outputs under --out, and returns 0 (success) or 1 (a gate,
+probe or check failed).  A verb refuses an input by raising ``InputError``
+and reports non-convergence by raising ``SolveFailure``; ``main`` alone maps
+these to exit codes 2 and 3, and writes ``manifest.json``, echoing the
+resolved arguments, after every run it did not refuse (exit 0, 1 or 3).
 """
 
 from __future__ import annotations
@@ -37,39 +40,29 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _write_manifest(out_dir, verb, config):
+class InputError(ValueError):
+    """A refused invocation: exit 2, and nothing written."""
+
+
+def _output(out_dir, name):
+    """The path of output ``name``, making its directory on first use."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {"format_version": FORMAT_VERSION, "tool_version": __version__,
-                "verb": verb, "config": config,
-                "versions": {"python": platform.python_version(),
-                             "numpy": np.__version__, "scipy": scipy.__version__}}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return os.path.join(out_dir, name)
 
 
 def _write_json(out_dir, name, payload):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_output(out_dir, name), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _load(args):
     try:
         return load_problem(args.problem)
     except FileNotFoundError as exc:
-        raise SystemExit(_fail(f"problem file not found: {exc}", EXIT_INPUT_ERROR))
+        raise InputError(f"problem file not found: {exc}") from exc
     except (ParseError, KeyError, ValueError) as exc:
-        raise SystemExit(_fail(f"problem file invalid: {exc}", EXIT_INPUT_ERROR))
-
-
-def _fail(message, code):
-    print(f"error: {message}", file=sys.stderr)
-    return code
+        raise InputError(f"problem file invalid: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +70,6 @@ def _fail(message, code):
 
 def verb_validate(args):
     problem = _load(args)
-    _write_manifest(args.out, "validate", {"problem": args.problem, "seed": args.seed})
     checks = []
 
     ell = probe_ellipticity(problem.diffusion, problem.ellipticity_K,
@@ -123,20 +115,14 @@ def verb_validate(args):
 
 def verb_zvonkin(args):
     problem = _load(args)
-    _write_manifest(args.out, "zvonkin", {
-        "problem": args.problem, "seed": args.seed, "resolution": args.resolution,
-        "lambda_start": args.lambda_start, "max_doublings": args.max_doublings})
     try:
         res = find_lambda0(problem, resolution=args.resolution,
                            lambda_start=args.lambda_start,
                            max_doublings=args.max_doublings)
-    except SolveFailure as exc:
-        return _fail(str(exc), EXIT_NO_CONVERGENCE)
     except ValueError as exc:    # a lambda, resolution or doubling count out of range
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+        raise InputError(str(exc)) from exc
     zmap = res.map
-    save_map(zmap, os.path.join(args.out, "map.json"),
-             os.path.join(args.out, "map_values.csv"))
+    save_map(zmap, _output(args.out, "map.json"), _output(args.out, "map_values.csv"))
     a, b, c = zmap.norms
     print(f"lambda={zmap.lam:g} norms=({a:.6g},{b:.6g},{c:.6g}) "
           f"sum={zmap.norm_sum:.6g} certified={str(zmap.certified).lower()}")
@@ -150,25 +136,21 @@ def verb_zvonkin(args):
 
 def verb_simulate(args):
     problem = _load(args)
-    _write_manifest(args.out, "simulate", {
-        "problem": args.problem, "seed": args.seed, "eps": args.eps,
-        "n_steps": args.n_steps, "n_paths": args.n_paths})
     if not (0.0 <= args.eps <= 1.0 and args.n_steps >= 1 and args.n_paths >= 1):
-        return _fail("--eps must lie in [0, 1]; --n-steps and --n-paths must be positive",
-                     EXIT_INPUT_ERROR)
+        raise InputError("--eps must lie in [0, 1]; --n-steps and --n-paths must be positive")
     dt = problem.horizon_T / args.n_steps
     try:
         increments = brownian_increments(args.seed, range(args.n_paths), args.n_steps,
                                          problem.noisy_dim, dt)
     except ValueError as exc:    # path indices beyond the noise keying's range
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+        raise InputError(str(exc)) from exc
     _, alive, paths = euler(dynamics(problem, args.eps), increments, keep_path=True)
     times = np.arange(args.n_steps + 1) * dt
     for i in range(args.n_paths):
         if not alive[i]:
             print(f"path {i}: escaped the working box", file=sys.stderr)
             continue
-        with open(os.path.join(args.out, f"path_{i:04d}.csv"), "w", newline="",
+        with open(_output(args.out, f"path_{i:04d}.csv"), "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"z{c + 1}" for c in range(problem.state_dim)])
@@ -186,8 +168,8 @@ def _make_target(args, problem):
     """The event's target set; an invalid one (a coordinate outside the state, a
     negative or non-finite radius, a non-finite threshold) is an input error."""
     if args.coordinate is not None and not 0 <= args.coordinate < problem.state_dim:
-        raise SystemExit(_fail(f"--coordinate must lie in [0, {problem.state_dim}), "
-                               f"got {args.coordinate}", EXIT_INPUT_ERROR))
+        raise InputError(f"--coordinate must lie in [0, {problem.state_dim}), "
+                         f"got {args.coordinate}")
     coords = None
     if problem.n_quiet and args.coordinate is None:
         coords = (problem.state_dim - 1,)
@@ -199,21 +181,17 @@ def _make_target(args, problem):
             return half_space_target([1.0], args.threshold, coords=coords)
         return ball_target(center, radius=args.radius, coords=coords)
     except ValueError as exc:
-        raise SystemExit(_fail(str(exc), EXIT_INPUT_ERROR))
+        raise InputError(str(exc)) from exc
 
 
 def verb_rate(args):
     problem = _load(args)
-    _write_manifest(args.out, "rate", {
-        "problem": args.problem, "seed": args.seed, "event": args.event,
-        "threshold": args.threshold, "radius": args.radius, "coordinate": args.coordinate,
-        "n_intervals": args.n_intervals, "restarts": args.restarts})
     target = _make_target(args, problem)
     try:
         result = minimize_rate(problem, target, n_intervals=args.n_intervals,
                                restarts=args.restarts, seed=args.seed)
     except ValueError as exc:    # a target on a noise-free coordinate, say
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+        raise InputError(str(exc)) from exc
     objectives = [r["objective"] for r in result.restarts]
     spread = max(objectives) - min(objectives)
     payload = {"value": result.value, "endpoint": result.endpoint.tolist(),
@@ -223,60 +201,60 @@ def verb_rate(args):
     _write_json(args.out, "rate.json", payload)
     print(f"rate value {result.value:.6f} (spread {spread:.2e})")
     if not result.converged:
-        return _fail("the best restart did not converge; see restarts in rate.json",
-                     EXIT_NO_CONVERGENCE)
+        raise SolveFailure("the best restart did not converge; see restarts in rate.json")
     return EXIT_OK
 
 
 def verb_ldp(args):
     problem = _load(args)
     try:
-        eps_ladder = [float(e) for e in args.eps_ladder.split(",")]
+        args.eps_ladder = [float(e) for e in args.eps_ladder.split(",")]
     except ValueError:
-        return _fail(f"--eps-ladder must list numbers: {args.eps_ladder!r}", EXIT_INPUT_ERROR)
-    if not (all(0.0 < e <= 1.0 for e in eps_ladder) and args.n_paths >= 100
-            and args.n_steps >= 1):
-        return _fail("--eps-ladder must list numbers in (0, 1]; --n-paths must be at "
-                     "least 100 and --n-steps positive", EXIT_INPUT_ERROR)
-    _write_manifest(args.out, "ldp", {
-        "problem": args.problem, "seed": args.seed, "eps_ladder": eps_ladder,
-        "n_paths": args.n_paths, "n_steps": args.n_steps, "event": args.event,
-        "threshold": args.threshold, "radius": args.radius, "coordinate": args.coordinate,
-        "with_singular": not args.no_singular, "rate_value": args.rate_value})
+        raise InputError(f"--eps-ladder must list numbers: {args.eps_ladder!r}") from None
+    ladder = args.eps_ladder
+    if not (len(set(ladder)) == len(ladder) >= 3 and all(0.0 < e <= 1.0 for e in ladder)):
+        raise InputError(f"--eps-ladder must list at least 3 distinct numbers in (0, 1], "
+                         f"got {ladder}")
+    if args.n_paths < 100 or args.n_steps < 1:
+        raise InputError("--n-paths must be at least 100 and --n-steps positive")
+    if args.rate_value is not None and not 0.0 <= args.rate_value < np.inf:
+        raise InputError(f"--rate-value must be a finite non-negative number, "
+                         f"got {args.rate_value}")
     target = _make_target(args, problem)
     event = terminal_event(target)
     try:
-        est = ldp_experiment(problem, event, eps_ladder, args.n_paths, args.n_steps,
-                             args.seed, with_singular=not args.no_singular)
-    except (RuntimeError, ValueError) as exc:
-        return _fail(str(exc), EXIT_NO_CONVERGENCE)
-    with open(os.path.join(args.out, "ladder.csv"), "w", encoding="utf-8") as fh:
+        est = ldp_experiment(problem, event, ladder, args.n_paths, args.n_steps,
+                             args.seed, with_singular=args.with_singular)
+    except (RuntimeError, ValueError) as exc:    # every path escaped, or too few usable points
+        raise SolveFailure(str(exc)) from exc
+    with open(_output(args.out, "ladder.csv"), "w", encoding="utf-8") as fh:
         fh.write(est.as_csv())
     payload = {"slope": est.slope, "stderr": est.slope_stderr,
                "points_used": [(1.0 / pt.eps, float(np.log(pt.p_hat))) for pt in est.ladder
                                if 0.0 < pt.p_hat < 1.0],
-               "with_singular": not args.no_singular,
+               "with_singular": args.with_singular,
                "ladder": [{"eps": pt.eps, "hits": pt.hits, "escapes": pt.escapes,
                            "noise_s": pt.noise_s, "step_s": pt.step_s} for pt in est.ladder]}
+    checks = []
     if args.rate_value is not None:
-        report = bound_check(est, args.rate_value, "upper_for_closed")
+        checks = [bound_check(est, args.rate_value, "upper_for_closed")]
         payload["rate_value"] = args.rate_value
-        payload["bound_checks"] = [asdict(report)]
+        payload["bound_checks"] = [asdict(report) for report in checks]
     _write_json(args.out, "ldp.json", payload)
     print(f"slope {est.slope:.6f} +/- {est.slope_stderr:.6f}")
-    return EXIT_OK
+    for report in checks:
+        print(f"[{'PASS' if report.passed else 'FAIL'}] bound_check {report.side}: "
+              f"slope {report.slope:.6f}, -rate + margin {report.margin - report.rate:.6f}")
+    return EXIT_OK if all(report.passed for report in checks) else EXIT_GATE_FAILURE
 
 
 def verb_verify(args):
-    names = args.gates.split(",") if args.gates else None
-    skip = set(args.skip.split(",")) if args.skip else set()
-    unknown = (set(names or []) | skip) - set(gate_names())
+    args.gates = args.gates.split(",") if args.gates else gate_names()
+    args.skipped = sorted(set(args.skipped.split(","))) if args.skipped else []
+    unknown = set(args.gates + args.skipped) - set(gate_names())
     if unknown:
-        return _fail(f"unknown gate(s): {sorted(unknown)}", EXIT_INPUT_ERROR)
-    _write_manifest(args.out, "verify", {
-        "seed": args.seed, "gates": names or gate_names(),
-        "skipped": sorted(skip)})
-    reports = run_gates(names=names, seed=args.seed, skip=skip)
+        raise InputError(f"unknown gate(s): {sorted(unknown)}")
+    reports = run_gates(names=args.gates, seed=args.seed, skip=set(args.skipped))
     for rep in reports:
         print(rep.line())
         _write_json(args.out, f"gate_{rep.name}.json", asdict(rep))
@@ -350,7 +328,7 @@ def _build_parser():
     p.add_argument("--eps-ladder", default="0.5,0.25,0.125,0.0625")
     p.add_argument("--n-paths", type=int, default=100_000)
     p.add_argument("--n-steps", type=int, default=256)
-    p.add_argument("--no-singular", action="store_true",
+    p.add_argument("--no-singular", dest="with_singular", action="store_false",
                    help="drop the vanishing singular drift term")
     p.add_argument("--rate-value", type=float, default=None,
                    help="minimized rate to compare against (adds bound checks)")
@@ -360,23 +338,36 @@ def _build_parser():
     common(p, problem_required=False)
     p.add_argument("--gates", default=None,
                    help="comma-separated subset of gates (default: all)")
-    p.add_argument("--skip", default=None,
+    p.add_argument("--skip", dest="skipped", default=None,
                    help="comma-separated gates to skip (echoed in the report)")
     p.set_defaults(func=verb_verify)
     return parser
 
 
+def _fail(message, code):
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb; the one place where errors become exit codes and where
+    ``manifest.json`` is written (after the verb's outputs, for every run not
+    refused)."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
-    except SolveFailure as exc:
-        return _fail(str(exc), EXIT_NO_CONVERGENCE)
+        code = args.func(args)
+    except InputError as exc:
+        return _fail(str(exc), EXIT_INPUT_ERROR)
     except EvaluationError as exc:    # a user field leaving its domain on the box
         return _fail(f"field evaluation failed: {exc}", EXIT_INPUT_ERROR)
+    except SolveFailure as exc:
+        code = _fail(str(exc), EXIT_NO_CONVERGENCE)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "verb")}
+    _write_json(args.out, "manifest.json", {
+        "format_version": FORMAT_VERSION, "tool_version": __version__, "verb": args.verb,
+        "config": config, "versions": {"python": platform.python_version(),
+                                       "numpy": np.__version__, "scipy": scipy.__version__}})
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -12,7 +13,7 @@ import pytest
 import scipy
 
 import ldplab
-from ldplab.cli import main
+from ldplab.cli import _build_parser, main
 from ldplab.problems import load_problem
 from ldplab.simulate import simulate_original
 from ldplab.zvonkin import find_lambda0
@@ -61,6 +62,7 @@ def test_malformed_file_exit_2(tmp_path):
     bad = tmp_path / "broken.ini"
     bad.write_text("[problem]\ndims = not_a_number\n")
     assert main(["validate", "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("call", ["tanhlog_dini(2)", "tanhlog_dini(foo=2)"],
@@ -121,6 +123,7 @@ def test_registry_wrong_type_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(tmp_path):
     assert main(["validate", "--problem", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_zvonkin_writes_certificate(tmp_path, capsys):
@@ -139,9 +142,11 @@ def test_zvonkin_writes_certificate(tmp_path, capsys):
 
 
 def test_zvonkin_lambda_cap_exit_3(tmp_path):
+    """A run that did not converge still ran, so it keeps its manifest."""
     code = main(["zvonkin", "--problem", "dini-tanhlog-1d", "--out", str(tmp_path),
                  "--resolution", "65", "--max-doublings", "1"])
     assert code == 3
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["max_doublings"] == 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -149,14 +154,17 @@ def test_zvonkin_lambda_cap_exit_3(tmp_path):
     ["--lambda-start", "nan"],
     ["--lambda-start", "0"],
     ["--resolution", "10"],
+    ["--resolution", "5"],
     ["--max-doublings", "-1"],
-], ids=["infinite-lambda", "nan-lambda", "zero-lambda", "coarse-grid", "negative-doublings"])
+], ids=["infinite-lambda", "nan-lambda", "zero-lambda", "coarse-grid", "five-point-grid",
+        "negative-doublings"])
 def test_zvonkin_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["zvonkin", "--problem", "dini-tanhlog-1d", "--out", str(tmp_path), *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "certificate.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_simulate_writes_paths(tmp_path):
@@ -184,6 +192,7 @@ def test_simulate_input_errors_exit_2(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.glob("path_*.csv"))
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_simulate_counts_escapes_from_one_batch(tmp_path):
@@ -253,17 +262,20 @@ def test_rate_verb_records_restarts(tmp_path):
     ["--problem", "brownian-1d", "--coordinate", "-1"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "-1"],
     ["--problem", "brownian-1d", "--n-intervals", "0"],
+    ["--problem", "brownian-1d", "--restarts", "0"],
     ["--problem", "brownian-1d", "--threshold", "nan"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "nan"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--threshold", "inf"],
 ], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-coordinate",
-        "negative-radius", "zero-intervals", "nan-threshold", "nan-radius", "infinite-center"])
+        "negative-radius", "zero-intervals", "zero-restarts", "nan-threshold", "nan-radius", "infinite-center"])
 def test_rate_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["rate", "--out", str(tmp_path), "--restarts", "1", "--n-intervals", "4",
                  *flags])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "rate.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_ldp_verb_small_ladder(tmp_path):
@@ -301,20 +313,66 @@ def test_ldp_reproducible(tmp_path):
         (tmp_path / "b" / "ladder.csv").read_text()
 
 
+_SMALL_RUNS = {
+    "validate": ["--problem", "brownian-1d"],
+    "zvonkin": ["--problem", "dini-tanhlog-1d", "--resolution", "65"],
+    "simulate": ["--problem", "brownian-1d", "--n-paths", "2", "--n-steps", "4"],
+    "rate": ["--problem", "hamiltonian-2d", "--coordinate", "1", "--restarts", "1",
+             "--n-intervals", "4"],
+    "ldp": ["--problem", "brownian-1d", "--coordinate", "0", "--n-paths", "100",
+            "--n-steps", "4", "--eps-ladder", "1.0,0.5,0.25", "--threshold", "0.5",
+            "--rate-value", "0.125", "--no-singular"],
+    "verify": ["--gates", "dini_classification", "--skip", "dini_classification"],
+}
+
+
 def test_every_argument_reaches_the_manifest(tmp_path):
-    """Two runs that differ only in --coordinate or --rate-value write
-    different manifests."""
-    assert main(["rate", "--problem", "hamiltonian-2d", "--coordinate", "1",
-                 "--out", str(tmp_path / "rate"), "--restarts", "1",
-                 "--n-intervals", "4"]) == 0
-    assert main(["ldp", "--problem", "brownian-1d", "--coordinate", "0",
-                 "--out", str(tmp_path / "ldp"), "--n-paths", "100", "--n-steps", "4",
-                 "--eps-ladder", "1.0,0.5,0.25", "--threshold", "0.5",
-                 "--rate-value", "0.125"]) == 0
-    rate = json.loads((tmp_path / "rate" / "manifest.json").read_text())["config"]
-    ldp = json.loads((tmp_path / "ldp" / "manifest.json").read_text())["config"]
-    assert rate["coordinate"] == 1
-    assert ldp["coordinate"] == 0 and ldp["rate_value"] == 0.125
+    """Each verb's manifest records every argument of its subparser but --out,
+    as the verb resolved it."""
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(subparsers) == sorted(_SMALL_RUNS)
+    configs = {}
+    for verb, flags in _SMALL_RUNS.items():
+        out = tmp_path / verb
+        assert main([verb, "--out", str(out), *flags]) == 0, verb
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verb"] == verb
+        configs[verb] = manifest["config"]
+        dests = {a.dest for a in subparsers[verb]._actions} - {"help", "out"}
+        assert set(configs[verb]) == dests, verb
+    assert configs["rate"]["coordinate"] == 1
+    assert configs["ldp"]["eps_ladder"] == [1.0, 0.5, 0.25]
+    assert configs["ldp"]["coordinate"] == 0 and configs["ldp"]["rate_value"] == 0.125
+    assert configs["ldp"]["with_singular"] is False
+    assert configs["verify"] == {"seed": 2024, "gates": ["dini_classification"],
+                                 "skipped": ["dini_classification"]}
+
+
+def test_ldp_failed_bound_check_exit_1(tmp_path, capsys):
+    """A slope that breaks the bound against --rate-value is a failed check:
+    exit 1, with every output and the manifest written."""
+    code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
+                 "--eps-ladder", "1,0.5,0.25", "--n-paths", "1000", "--n-steps", "8",
+                 "--rate-value", "5"])
+    assert code == 1
+    (check,) = json.loads((tmp_path / "ldp.json").read_text())["bound_checks"]
+    assert check["passed"] is False and check["rate"] == 5.0
+    assert "[FAIL] bound_check upper_for_closed" in capsys.readouterr().out
+    assert (tmp_path / "manifest.json").exists()
+
+
+def test_ldp_unusable_ladder_exit_3(tmp_path, capsys):
+    """A ladder whose points all have p_hat = 0 cannot be fitted: exit 3, and
+    the run keeps its manifest."""
+    with pytest.warns(UserWarning, match="dropped 3 ladder point"):
+        code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
+                     "--eps-ladder", "1,0.5,0.25", "--n-paths", "100", "--n-steps", "4",
+                     "--threshold", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: slope fit needs at least 3") and err.count("\n") == 1
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
@@ -343,19 +401,47 @@ def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
     ["--threshold", "inf"],
     ["--threshold", "nan"],
     ["--event", "terminal-ball", "--radius", "nan"],
+    ["--eps-ladder", "0.5,0.25"],
+    ["--eps-ladder", "0.5,0.5,0.5"],
+    ["--eps-ladder", "0.5,0.25,0.5"],
+    ["--rate-value", "nan"],
+    ["--rate-value", "inf"],
+    ["--rate-value", "-0.5"],
 ], ids=["eps-not-a-number", "too-few-paths", "zero-steps", "negative-eps",
         "coordinate-outside-state", "negative-coordinate", "infinite-threshold",
-        "nan-threshold", "nan-radius"])
+        "nan-threshold", "nan-radius", "two-point-ladder", "one-eps-three-times",
+        "repeated-eps", "nan-rate-value", "infinite-rate-value", "negative-rate-value"])
 def test_ldp_input_errors_exit_2(tmp_path, capsys, flags):
+    """Each refusal comes before any path is stepped: no ladder, no manifest."""
     code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
-                 "--n-paths", "200", "--n-steps", "16", *flags])
+                 "--n-paths", "200", "--n-steps", "16", "--eps-ladder", "0.5,0.25,0.125",
+                 *flags])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "ldp.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 def test_verify_unknown_gate_exit_2(tmp_path):
     assert main(["verify", "--out", str(tmp_path), "--gates", "no_such_gate"]) == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, code, manifest", [
+    (["verify", "--seed", "-1"], 2, False),
+    (["rate", "--problem", "brownian-1d", "--threshold", "nan"], 2, False),
+    (["zvonkin", "--problem", "dini-tanhlog-1d", "--resolution", "65",
+      "--max-doublings", "1"], 3, True),
+], ids=["argparse-refusal", "verb-refusal", "no-convergence"])
+def test_module_exit_code_and_manifest(tmp_path, flags, code, manifest):
+    """``python -m ldplab.cli`` exits with the code that ``main`` returns, and
+    writes a manifest exactly for the runs that it did not refuse."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ldplab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ldplab.cli", *flags, "--out", "run"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("error:") == 1
+    assert (tmp_path / "run" / "manifest.json").exists() is manifest
 
 
 def test_verify_subset_with_skip(tmp_path, capsys):
