@@ -67,7 +67,6 @@ class ControlPath:
 class SkeletonPath:
     times: np.ndarray
     states: np.ndarray
-    control: ControlPath
 
 
 @dataclass
@@ -117,8 +116,7 @@ def skeleton(system, control, n_steps):
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("skeleton integration produced non-finite state")
     return SkeletonPath(times=np.linspace(0.0, dyn.horizon, n_steps + 1),
-                        states=states.reshape(control.hdot.shape[:-2] + states.shape[1:]),
-                        control=control)
+                        states=states.reshape(control.hdot.shape[:-2] + states.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -72,45 +72,46 @@ def verb_validate(args):
     problem = _load(args)
     checks = []
 
+    def check(name, passed, info, **numbers):
+        checks.append({"name": name, "passed": bool(passed), "info": info, **numbers})
+
     ell = probe_ellipticity(problem.diffusion, problem.ellipticity_K,
                             problem.noisy_box(), seed=args.seed)
-    checks.append(("ellipticity", ell.passed,
-                   f"max_eigenvalue={ell.value:.4g}" +
-                   ("" if ell.passed else f" witness={ell.witness}")))
+    check("ellipticity", ell.passed,
+          f"max_eigenvalue={ell.value:.4g}" + ("" if ell.passed else f" witness={ell.witness}"))
 
     fams = [("x_drift", problem.quiet_drift), ("y_drift", problem.drift)] if problem.n_quiet \
         else [("drift", problem.drift)]
     for label, fam in fams:
         probed = probe_lipschitz(fam.limit, problem.working_box, seed=args.seed)
         ok = probed <= problem.lipschitz_L * (1.0 + 1e-6)
-        checks.append((f"{label}_lipschitz", ok,
-                       f"probed={probed:.4g} declared={problem.lipschitz_L}"))
-        for eps in (0.5, 0.25, 0.125):
-            if fam.perturbation is None:
-                break
-            gap = drift_family_limit_gap(fam, problem.working_box, eps, seed=args.seed)
-            checks.append((f"{label}_gap_eps={eps}", True, f"sup_gap={gap:.4g}"))
+        check(f"{label}_lipschitz", ok, f"probed={probed:.4g} declared={problem.lipschitz_L}")
+        if fam.perturbation is not None:
+            gaps = [drift_family_limit_gap(fam, problem.working_box, eps, seed=args.seed)
+                    for eps in (0.5, 0.25, 0.125)]
+            shrinks = all(b <= a for a, b in zip(gaps, gaps[1:])) and gaps[-1] < gaps[0]
+            check(f"{label}_gap_shrinks", shrinks,
+                  "sup_gaps=" + ",".join(f"{g:.4g}" for g in gaps) + " at eps=0.5,0.25,0.125",
+                  sup_gaps=gaps)
 
     b2 = problem.singular_drift
     if b2 is not None:
         mono = b2.declared_modulus.check_monotone()
-        checks.append(("modulus_monotone", mono, f"kind={b2.declared_modulus.kind}"))
+        check("modulus_monotone", mono, f"kind={b2.declared_modulus.kind}")
         probe = probe_modulus(b2, b2.declared_modulus, problem.noisy_box(),
                               seed=args.seed)
-        checks.append(("singular_modulus", probe.passed, f"margin={probe.value:.3g}"))
+        check("singular_modulus", probe.passed, f"margin={probe.value:.3g}")
         if b2.declared_bound is not None:
             rng = np.random.Generator(np.random.Philox(key=args.seed))
             pts = problem.noisy_box().sample(rng, 2000)
             sup = float(np.max(np.linalg.norm(b2(pts), axis=1)))
-            checks.append(("singular_bound", sup <= b2.declared_bound * (1 + 1e-9),
-                           f"sup={sup:.4g} declared={b2.declared_bound}"))
+            check("singular_bound", sup <= b2.declared_bound * (1 + 1e-9),
+                  f"sup={sup:.4g} declared={b2.declared_bound}")
 
-    for name, ok, info in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {info}")
-    _write_json(args.out, "validate.json",
-                {"checks": [{"name": n, "passed": bool(ok), "info": i}
-                            for n, ok, i in checks]})
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_GATE_FAILURE
+    for c in checks:
+        print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['info']}")
+    _write_json(args.out, "validate.json", {"checks": checks})
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_GATE_FAILURE
 
 
 def verb_zvonkin(args):
@@ -165,8 +166,10 @@ def verb_simulate(args):
 
 
 def _make_target(args, problem):
-    """The event's target set; an invalid one (a coordinate outside the state, a
-    negative or non-finite radius, a non-finite threshold) is an input error."""
+    """The event's target set; a coordinate outside the state, a negative or
+    non-finite radius (for any event) or a non-finite threshold is refused."""
+    if not 0.0 <= args.radius < np.inf:
+        raise InputError(f"--radius must be a finite non-negative number, got {args.radius}")
     if args.coordinate is not None and not 0 <= args.coordinate < problem.state_dim:
         raise InputError(f"--coordinate must lie in [0, {problem.state_dim}), "
                          f"got {args.coordinate}")

@@ -171,26 +171,17 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
 # ---------------------------------------------------------------------------
 # Slope fit
 
-def _as_point(entry):
-    if isinstance(entry, LadderPoint):
-        return entry.eps, entry.p_hat, entry.n_paths
-    if len(entry) == 2:
-        eps, p = entry
-        return float(eps), float(p), None
-    eps, p, n = entry[:3]
-    return float(eps), float(p), int(n) if n else None
-
-
 def fit_slope(ladder):
     """Weighted least squares of log p_hat against 1/eps with free intercept.
 
-    Weights come from the delta-method variance of log p_hat, (1-p)/(n p);
-    entries without a path count get unit weight. Points with p_hat in {0, 1}
-    are dropped with a warning; at least 3 usable points are required.
+    An entry is a ``LadderPoint`` or an (eps, p_hat, n_paths) triple.
+    Weights come from the delta-method variance of log p_hat, (1-p)/(n p).
+    Points with p_hat in {0, 1} are dropped with a warning; at least 3 usable
+    points are required.
     Returns (slope, stderr) where stderr scales the weighted covariance by
     the residual variance, so an exact affine ladder reports stderr 0.
     """
-    pts = [_as_point(e) for e in ladder]
+    pts = [(e.eps, e.p_hat, e.n_paths) if isinstance(e, LadderPoint) else e for e in ladder]
     usable = [(e, p, n) for e, p, n in pts if 0.0 < p < 1.0]
     dropped = len(pts) - len(usable)
     if dropped:
@@ -200,7 +191,7 @@ def fit_slope(ladder):
         raise ValueError("slope fit needs at least 3 ladder points with p_hat in (0,1)")
     x = np.array([1.0 / e for e, _, _ in usable])
     y = np.array([np.log(p) for _, p, _ in usable])
-    w = np.array([n * p / (1.0 - p) if n else 1.0 for _, p, n in usable])
+    w = np.array([n * p / (1.0 - p) for _, p, n in usable])
     X = np.column_stack([x, np.ones_like(x)])
     WX = X * w[:, None]
     cov = np.linalg.inv(X.T @ WX)

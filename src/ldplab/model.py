@@ -156,8 +156,6 @@ class Modulus:
 class DiniVerdict:
     finite: bool
     value: float  # extrapolated integral for finite, last partial value otherwise
-    partials: list  # (cutoff, integral from cutoff to 1)
-    decay_exponent: float | None = None
 
 
 def _aitken_limit(values):
@@ -188,40 +186,39 @@ def dini_classify(m):
     def integrand(s):
         return float(m.phi(s)) / s
 
-    partials = []
+    partials = []                 # the integral from each cutoff to 1
     total = 0.0
     upper = 1.0
     for c in _DINI_CUTOFFS:
         piece, _err = quad(integrand, c, upper, limit=200)
         total += piece
-        partials.append((float(c), total))
+        partials.append(total)
         upper = c
 
-    values = np.array([p[1] for p in partials])
+    values = np.array(partials)
     rel = np.abs(np.diff(values[-3:])) / np.maximum(np.abs(values[-3:-1]), 1e-300)
     if np.all(rel < 1e-3):
-        return DiniVerdict(finite=True, value=float(_aitken_limit(values)), partials=partials)
+        return DiniVerdict(finite=True, value=float(_aitken_limit(values)))
 
     # Local decay exponent of psi(r) = phi(exp(-r)) against log r.
     r = np.log(1.0 / _DINI_CUTOFFS)
     psi = np.array([float(m.phi(math.exp(-ri))) for ri in r])
     if np.any(psi <= 0):
         # phi vanishing on the probe tail: integral of the remaining tail is 0.
-        return DiniVerdict(finite=True, value=float(values[-1]), partials=partials)
+        return DiniVerdict(finite=True, value=float(values[-1]))
     lp = np.log(psi)
     lr = np.log(r)
     exps = -(np.diff(lp) / np.diff(lr))
     p_hat = float(exps[-1])
     if p_hat <= 1.05:
-        return DiniVerdict(finite=False, value=float(values[-1]), partials=partials,
-                           decay_exponent=p_hat)
+        return DiniVerdict(finite=False, value=float(values[-1]))
     if len(exps) >= 2 and exps[-1] > 1.1 * exps[-2]:
         # super-polynomial decay (e.g. Holder): geometric tail, Aitken is exact
         value = float(_aitken_limit(values))
     else:
         # power-law tail psi ~ (r'/r)^(-p): closed-form remainder
         value = float(values[-1] + psi[-1] * r[-1] / (p_hat - 1.0))
-    return DiniVerdict(finite=True, value=value, partials=partials, decay_exponent=p_hat)
+    return DiniVerdict(finite=True, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +281,12 @@ def coordinate_function(text, in_dim, n_out, extra=()):
     return func
 
 
-def parse_field(expression_text, in_dim, out_dim, matrix=False, **meta):
+def parse_field(expression_text, in_dim, out_dim, matrix=False):
     """Parse ';'-separated coordinate expressions into a VectorField."""
     n_out = out_dim * out_dim if matrix else out_dim
     coords = coordinate_function(expression_text, in_dim, n_out)
     func = (lambda x: coords(x).reshape(x.shape[0], out_dim, out_dim)) if matrix else coords
-    return VectorField(in_dim=in_dim, out_dim=out_dim, func=func, matrix=matrix, **meta)
+    return VectorField(in_dim=in_dim, out_dim=out_dim, func=func, matrix=matrix)
 
 
 @dataclass
@@ -399,9 +396,6 @@ class ProbeResult:
     passed: bool
     value: float
     witness: np.ndarray | None = None
-
-    def __bool__(self):
-        return self.passed
 
 
 def _pair_samples(box, seed):

@@ -7,6 +7,7 @@ import configparser
 import inspect
 import numbers
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -36,19 +37,19 @@ def _zero(in_dim, out_dim):
                        name="zero", lipschitz_const=0.0, declared_bound=0.0)
 
 
-def _identity(n):
-    return VectorField(in_dim=n, out_dim=n, func=lambda x: np.array(x, copy=True),
+def _identity(in_dim, out_dim):
+    return VectorField(in_dim=in_dim, out_dim=in_dim, func=lambda x: np.array(x, copy=True),
                        name="identity", lipschitz_const=1.0)
 
 
-def _linear(matrix):
+def _linear(in_dim, out_dim, matrix):
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     return VectorField(in_dim=a.shape[1], out_dim=a.shape[0],
                        func=lambda x: x @ a.T, name="linear",
                        lipschitz_const=float(np.linalg.norm(a, 2)))
 
 
-def _constant(values, in_dim):
+def _constant(in_dim, out_dim, values):
     c = np.atleast_1d(np.asarray(values, dtype=float))
     return VectorField(in_dim=in_dim, out_dim=c.size,
                        func=lambda x: np.broadcast_to(c, (x.shape[0], c.size)).copy(),
@@ -56,24 +57,24 @@ def _constant(values, in_dim):
                        declared_bound=float(np.linalg.norm(c)))
 
 
-def _identity_matrix(m, scale=1.0):
-    eye = scale * np.eye(m)
-    return VectorField(in_dim=m, out_dim=m, matrix=True,
-                       func=lambda x: np.broadcast_to(eye, (x.shape[0], m, m)).copy(),
+def _identity_matrix(in_dim, out_dim, scale=1.0):
+    eye = scale * np.eye(out_dim)
+    return VectorField(in_dim=in_dim, out_dim=out_dim, matrix=True,
+                       func=lambda x: np.broadcast_to(eye, (x.shape[0], out_dim, out_dim)).copy(),
                        name="identity_matrix", lipschitz_const=0.0)
 
 
-def _tanh_iso(m, amplitude=0.1):
-    eye = np.eye(m)
+def _tanh_iso(in_dim, out_dim, amplitude=0.1):
+    eye = np.eye(out_dim)
 
     def func(x):
         scale = 1.0 + amplitude * np.tanh(x[:, 0])
         return scale[:, None, None] * eye
 
-    return VectorField(in_dim=m, out_dim=m, matrix=True, func=func, name="tanh_iso")
+    return VectorField(in_dim=in_dim, out_dim=out_dim, matrix=True, func=func, name="tanh_iso")
 
 
-def _tanhlog_dini(beta=2.0, gain=3.0, bound=1.0):
+def _tanhlog_dini(in_dim, out_dim, beta=2.0, gain=3.0, bound=1.0):
     """Sign-smoothed 1-D Dini field: tanh(gain*x) * min(bound, phi_log(|x|)).
 
     Non-Lipschitz at the origin (phi_log has infinite slope there); overall
@@ -93,7 +94,7 @@ def _tanhlog_dini(beta=2.0, gain=3.0, bound=1.0):
                        declared_modulus=mod, declared_bound=bound)
 
 
-def _holder_root(alpha=0.5, bound=1.0):
+def _holder_root(in_dim, out_dim, alpha=0.5, bound=1.0):
     """1-D Holder field min(bound, |x|^alpha); modulus t^alpha by concavity."""
 
     def func(x):
@@ -103,6 +104,8 @@ def _holder_root(alpha=0.5, bound=1.0):
                        declared_modulus=Modulus.holder(alpha), declared_bound=bound)
 
 
+# Every builder takes its block's (in_dim, out_dim) first; one whose parameters
+# fix its shape keeps it, and SdeProblem refuses a shape that misfits the block.
 FIELD_REGISTRY = {
     "zero": _zero,
     "identity": _identity,
@@ -125,12 +128,13 @@ def _numeric(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def build_field(name, **params):
+def build_field(name, in_dim, out_dim, /, **params):
+    """Registry field ``name`` of a block R^in_dim -> R^out_dim, with ``params``."""
     if name not in FIELD_REGISTRY:
         raise KeyError(f"unknown registry field {name!r}; known: {sorted(FIELD_REGISTRY)}")
     builder = FIELD_REGISTRY[name]
     try:
-        inspect.signature(builder).bind(**params)
+        inspect.signature(builder).bind(in_dim, out_dim, **params)
     except TypeError as exc:
         raise ValueError(f"registry field {name!r}: {exc}") from None
     for key, value in params.items():
@@ -138,7 +142,7 @@ def build_field(name, **params):
             raise ValueError(f"registry field {name!r}: {key} must be a number or a list "
                              f"of numbers, got {value!r}")
     try:
-        return builder(**params)
+        return builder(in_dim, out_dim, **params)
     except (TypeError, ValueError) as exc:   # a float dimension, a ragged matrix
         raise ValueError(f"registry field {name!r}: {exc}") from None
 
@@ -173,16 +177,7 @@ def parse_field_spec(spec, in_dim, out_dim, matrix=False):
         return parse_field(body, in_dim, out_dim, matrix=matrix)
     if kind == "registry":
         name, params = _registry_call(body)
-        if name in ("zero",):
-            params.setdefault("in_dim", in_dim)
-            params.setdefault("out_dim", out_dim)
-        if name in ("constant",):
-            params.setdefault("in_dim", in_dim)
-        if name in ("identity",):
-            params.setdefault("n", in_dim)
-        if name in ("identity_matrix", "tanh_iso"):
-            params.setdefault("m", out_dim)
-        return build_field(name, **params)
+        return build_field(name, in_dim, out_dim, **params)
     raise ValueError(f"field spec must start with 'expr:' or 'registry:', got {spec!r}")
 
 
@@ -197,25 +192,52 @@ def _expression_family(pert_text, in_dim, out_dim):
     return family
 
 
+# The keys a problem file may set, per section; [drift]'s depend on the block
+# count, and [modulus] takes its kind and that kind's one parameter.
+_KEYS = {"DEFAULT": (), "diffusion": ("field",), "singular": ("field", "bound"),
+         "problem": ("name", "layout", "dims", "horizon", "start", "ellipticity_k",
+                     "lipschitz_l", "box_lo", "box_hi")}
+_DRIFT_KEYS = {1: ("limit", "perturbation"),
+               2: ("limit_x", "perturbation_x", "limit_y", "perturbation_y")}
+_MODULUS_PARAMETER = {"dini_log": "beta", "holder": "alpha", "lipschitz": "l",
+                      "expression": "expression"}
+
+
+def _refuse_unknown_keys(section, known):
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in [{section.name}]; "
+                         f"known: {', '.join(known) or 'none'}")
+
+
+def _check_keys(cp, n_blocks):
+    """Refuse a section or key that nothing reads, naming it."""
+    known = dict(_KEYS, drift=_DRIFT_KEYS[n_blocks])
+    if cp.has_section("singular"):
+        known["modulus"] = None           # _parse_modulus checks it against its kind
+    for name in cp:
+        if name not in known:
+            raise ValueError(f"unknown section [{name}]")
+        if known[name] is not None:
+            _refuse_unknown_keys(cp[name], known[name])
+
+
 def _parse_modulus(section):
     kind = section.get("kind", "").strip()
-    if kind == "dini_log":
-        return Modulus.dini_log(float(section["beta"]))
-    if kind == "holder":
-        return Modulus.holder(float(section["alpha"]))
-    if kind == "lipschitz":
-        return Modulus.lipschitz(float(section["l"]))
+    if kind not in _MODULUS_PARAMETER:
+        raise ValueError(f"unknown modulus kind {kind!r}")
+    key = _MODULUS_PARAMETER[kind]
+    _refuse_unknown_keys(section, ("kind", key))
     if kind == "expression":
-        return Modulus.from_expression(section["expression"].strip().strip('"'))
-    raise ValueError(f"unknown modulus kind {kind!r}")
+        return Modulus.from_expression(section[key].strip().strip('"'))
+    return getattr(Modulus, kind)(float(section[key]))
 
 
 def _family(section, key_limit, key_pert, in_dim, out_dim):
     limit = parse_field_spec(section[key_limit], in_dim, out_dim)
     pert = None
-    if key_pert in section and section[key_pert].strip():
-        text = section[key_pert].strip().strip('"')
-        kind, _, body = text.partition(":")
+    if section.get(key_pert, "").strip():
+        kind, _, body = section[key_pert].strip().strip('"').partition(":")
         if kind.strip().lower() != "expr":
             raise ValueError("perturbation must be an 'expr:' spec in x1..xn and eps")
         pert = _expression_family(body.strip().strip('"'), in_dim, out_dim)
@@ -239,6 +261,7 @@ def parse_problem_text(text, name_hint=""):
     if len(dims) != n_blocks:
         raise ValueError(f"dims must list {n_blocks} block size(s) in the {layout} "
                          f"layout, got {dims}")
+    _check_keys(cp, n_blocks)
     state_dim = sum(dims)
     name = prob.get("name", name_hint).strip()
     horizon = float(prob.get("horizon", "1.0"))
@@ -259,8 +282,6 @@ def parse_problem_text(text, name_hint=""):
         singular = parse_field_spec(cp["singular"]["field"], noisy, noisy)
         if cp.has_section("modulus"):
             singular.declared_modulus = _parse_modulus(cp["modulus"])
-        if singular.declared_modulus is None:
-            raise ValueError("singular drift needs a [modulus] section or registry modulus")
         if "bound" in cp["singular"]:
             singular.declared_bound = float(cp["singular"]["bound"])
 
@@ -284,18 +305,18 @@ def list_problems():
     return list(_BUNDLED)
 
 
+def _bundled_text(name):
+    return resources.files("ldplab").joinpath(f"problems/{name}.ini").read_text()
+
+
 def bundled_sections(name):
     """The sections of a bundled problem file as {section: {key: value}}."""
-    cp = _config(resources.files("ldplab").joinpath(f"problems/{name}.ini").read_text())
+    cp = _config(_bundled_text(name))
     return {section: dict(cp[section]) for section in cp.sections()}
 
 
 def load_problem(name_or_path):
     """Load a bundled problem by name or a problem file by path."""
     name = str(name_or_path)
-    if name in _BUNDLED:
-        text = resources.files("ldplab").joinpath(f"problems/{name}.ini").read_text()
-        return parse_problem_text(text, name_hint=name)
-    with open(name, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _bundled_text(name) if name in _BUNDLED else Path(name).read_text(encoding="utf-8")
     return parse_problem_text(text, name_hint=name)

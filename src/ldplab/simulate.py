@@ -67,9 +67,6 @@ class EscapeError(RuntimeError):
 class PathSample:
     times: np.ndarray
     states: np.ndarray            # (n_steps + 1, dim)
-    seed: int
-    epsilon: float
-    dt: float
 
 
 class NoiseStream:
@@ -408,8 +405,7 @@ def _single_path(system, eps, n_steps, seed, path_index, increments):
     _, alive, path = euler(dyn, batch, keep_path=True)
     if not alive[0]:
         raise EscapeError(path[0, -1])
-    return PathSample(times=np.arange(n_steps + 1) * dt, states=path[0], seed=seed,
-                      epsilon=eps, dt=dt)
+    return PathSample(times=np.arange(n_steps + 1) * dt, states=path[0])
 
 
 def simulate_original(problem, eps, n_steps, seed, path_index=0, increments=None):

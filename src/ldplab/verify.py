@@ -17,8 +17,8 @@ import numpy as np
 from .action import (ball_target, half_space_target, minimize_rate, rate_via_transform,
                      skeleton, ControlPath)
 from .ldp import bound_check, fit_slope, ldp_experiment, terminal_event
-from .model import Box, Modulus, SdeProblem, VectorField, DriftFamily, dini_classify
-from .problems import build_field, bundled_sections, load_problem
+from .model import Modulus, dini_classify
+from .problems import _bundled_text, bundled_sections, load_problem, parse_problem_text
 from .simulate import (brownian_increments, coarsen_increments, conjugacy_check,
                        simulate_degenerate)
 from .zvonkin import find_lambda0, solve_resolvent, theta, theta_inv, transform
@@ -56,21 +56,15 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 # Shared fixtures
 
-def _constant_singular_problem(c=1.0):
-    """1-D problem with constant bounded drift perturbation and unit diffusion."""
-    box = Box.cube(1, 6.0)
-    singular = VectorField(
-        in_dim=1, out_dim=1,
-        func=lambda x: np.full((x.shape[0], 1), c),
-        declared_modulus=Modulus.lipschitz(0.0), declared_bound=abs(c),
-        lipschitz_const=0.0, name="constant")
-    zero = VectorField(in_dim=1, out_dim=1,
-                       func=lambda x: np.zeros((x.shape[0], 1)), name="zero")
-    eye = build_field("identity_matrix", m=1)
-    return SdeProblem(name="constant-singular", dims=(1,), horizon_T=1.0,
-                      ellipticity_K=2.0, lipschitz_L=1.0, working_box=box,
-                      start=np.zeros(1), drift=DriftFamily(limit=zero),
-                      singular_drift=singular, diffusion=eye)
+# Gate 1's problem: brownian-1d with the constant singular drift b2 = 1.
+_CONSTANT_SINGULAR = """
+[singular]
+field = registry: constant(values=1.0)
+
+[modulus]
+kind = lipschitz
+l = 0
+"""
 
 
 # Ladders and minimum-action solves on bundled problems, keyed by what they
@@ -126,8 +120,8 @@ def memo_solve(name, target, n_intervals, restarts, seed):
 
 def gate_constant_resolvent():
     """Constant perturbation solves to c / lambda and certifies at |c|/lambda <= 1/2."""
-    c = 1.0
-    problem = _constant_singular_problem(c)
+    c = 1.0                                   # b2 in _CONSTANT_SINGULAR
+    problem = parse_problem_text(_bundled_text("brownian-1d") + _CONSTANT_SINGULAR)
     lam = 4.0
     zmap = solve_resolvent(problem, lam, resolution=129)
     err = float(np.max(np.abs(zmap.u.values - c / lam)))

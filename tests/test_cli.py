@@ -115,9 +115,53 @@ def test_field_outside_domain_exit_2(tmp_path, capsys):
 
 def test_registry_wrong_type_exit_2(tmp_path, capsys):
     bad = _brownian_variant(tmp_path, "registry: identity_matrix",
-                            "registry: identity_matrix(m=1.0)")
+                            "registry: identity_matrix(scale='3')")
     assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
     assert "'identity_matrix'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("horizon = 1.0", "horizn = 2.0", "unknown key(s) horizn in [problem]"),
+    ("perturbation = expr: eps * tanh(x1)", "perturbaton = expr: eps",
+     "unknown key(s) perturbaton in [drift]"),
+    ("limit = expr: -x1", "limit = expr: -x1\nlimit_x = expr: 0",
+     "unknown key(s) limit_x in [drift]"),
+    ("[diffusion]", "[difusion]", "unknown section [difusion]"),
+    ("[diffusion]", "[modulus]\nkind = holder\nalpha = 0.5\n\n[diffusion]",
+     "unknown section [modulus]"),
+    ("[problem]", "[DEFAULT]\nhorizon = 2.0\n\n[problem]", "unknown key(s) horizon in [DEFAULT]"),
+], ids=["problem-key", "drift-key", "other-block-key", "section", "modulus-without-singular",
+        "default-section"])
+def test_unknown_section_or_key_exit_2(tmp_path, capsys, old, new, needle):
+    """A section or key that nothing reads is refused, named, instead of
+    being ignored: a typo in an optional key would otherwise run with its
+    default."""
+    text = (files("ldplab") / "problems" / "ou-1d.ini").read_text()
+    assert old in text
+    bad = tmp_path / "typo.ini"
+    bad.write_text(text.replace(old, new))
+    assert main(["validate", "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem file invalid") and needle in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("limit = expr: 0", "limit = registry: zero(in_dim=1)", "in_dim"),
+    ("limit = expr: 0", "limit = registry: zero(out_dim=1)", "out_dim"),
+    ("limit = expr: 0", "limit = registry: constant(values=0.0, in_dim=1)", "in_dim"),
+    ("limit = expr: 0", "limit = registry: identity(n=1)", "n"),
+    ("registry: identity_matrix", "registry: identity_matrix(m=1)", "m"),
+    ("registry: identity_matrix", "registry: tanh_iso(m=1)", "m"),
+], ids=["zero-in_dim", "zero-out_dim", "constant-in_dim", "identity-n", "identity_matrix-m",
+        "tanh_iso-m"])
+def test_registry_dimension_in_file_exit_2(tmp_path, capsys, old, new, key):
+    """A registry field's dimensions come from its block; a file that states
+    one is refused, and the error names it."""
+    bad = _brownian_variant(tmp_path, old, new)
+    assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem file invalid") and f"'{key}'" in err, err
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -266,8 +310,11 @@ def test_rate_verb_records_restarts(tmp_path):
     ["--problem", "brownian-1d", "--threshold", "nan"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--radius", "nan"],
     ["--problem", "brownian-1d", "--event", "terminal-ball", "--threshold", "inf"],
+    ["--problem", "brownian-1d", "--radius", "nan"],
+    ["--problem", "brownian-1d", "--radius", "-1"],
 ], ids=["noise-free-coordinate", "coordinate-outside-state", "negative-coordinate",
-        "negative-radius", "zero-intervals", "zero-restarts", "nan-threshold", "nan-radius", "infinite-center"])
+        "negative-radius", "zero-intervals", "zero-restarts", "nan-threshold", "nan-radius",
+        "infinite-center", "nan-radius-half-space", "negative-radius-half-space"])
 def test_rate_input_errors_exit_2(tmp_path, capsys, flags):
     code = main(["rate", "--out", str(tmp_path), "--restarts", "1", "--n-intervals", "4",
                  *flags])
@@ -326,9 +373,17 @@ _SMALL_RUNS = {
 }
 
 
+def _strict_json(path):
+    """JSON as the standard defines it: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: non-finite value {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_every_argument_reaches_the_manifest(tmp_path):
     """Each verb's manifest records every argument of its subparser but --out,
-    as the verb resolved it."""
+    as the verb resolved it; the manifest and every JSON output are standard
+    JSON, with no NaN or Infinity."""
     subparsers = next(a for a in _build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
     assert sorted(subparsers) == sorted(_SMALL_RUNS)
@@ -336,7 +391,9 @@ def test_every_argument_reaches_the_manifest(tmp_path):
     for verb, flags in _SMALL_RUNS.items():
         out = tmp_path / verb
         assert main([verb, "--out", str(out), *flags]) == 0, verb
-        manifest = json.loads((out / "manifest.json").read_text())
+        outputs = {path.name: _strict_json(path) for path in out.glob("*.json")}
+        manifest = outputs["manifest.json"]
+        assert len(outputs) > 1 or verb == "verify", verb
         assert manifest["verb"] == verb
         configs[verb] = manifest["config"]
         dests = {a.dest for a in subparsers[verb]._actions} - {"help", "out"}
@@ -376,7 +433,7 @@ def test_ldp_unusable_ladder_exit_3(tmp_path, capsys):
 
 
 def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
-    """Each block's gap line reads its own perturbation: 10 eps for X, eps for Y."""
+    """Each block's gap check reads its own perturbation: 10 eps for X, eps for Y."""
     text = files("ldplab").joinpath("problems/hamiltonian-2d.ini").read_text()
     path = tmp_path / "perturbed.ini"
     path.write_text(text.replace("limit_y = expr: -0.1 * tanh(x2)\n",
@@ -385,10 +442,25 @@ def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
                                  "perturbation_y = expr: eps\n"))
     assert main(["validate", "--problem", str(path), "--out", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
-    for eps, x_gap, y_gap in (("0.5", "5", "0.5"), ("0.25", "2.5", "0.25"),
-                              ("0.125", "1.25", "0.125")):
-        assert f"[PASS] x_drift_gap_eps={eps}: sup_gap={x_gap}\n" in out
-        assert f"[PASS] y_drift_gap_eps={eps}: sup_gap={y_gap}\n" in out
+    assert "[PASS] x_drift_gap_shrinks: sup_gaps=5,2.5,1.25 at eps=0.5,0.25,0.125\n" in out
+    assert "[PASS] y_drift_gap_shrinks: sup_gaps=0.5,0.25,0.125 at eps=0.5,0.25,0.125\n" in out
+    checks = json.loads((tmp_path / "out" / "validate.json").read_text())["checks"]
+    gaps = {c["name"]: c["sup_gaps"] for c in checks if "sup_gaps" in c}
+    assert gaps == {"x_drift_gap_shrinks": [5.0, 2.5, 1.25],
+                    "y_drift_gap_shrinks": [0.5, 0.25, 0.125]}
+
+
+def test_validate_gap_that_does_not_shrink_fails(tmp_path, capsys):
+    """ou-1d's gap eps * tanh(x1) shrinks; a perturbation whose gap does not
+    shrink with eps fails its check: exit 1."""
+    assert main(["validate", "--problem", "ou-1d", "--out", str(tmp_path / "ou")]) == 0
+    assert "[PASS] drift_gap_shrinks: sup_gaps=0.5,0.25,0.125 at eps=0.5,0.25,0.125\n" in \
+        capsys.readouterr().out
+    bad = _brownian_variant(tmp_path, "limit = expr: 0",
+                            "limit = expr: 0\nperturbation = expr: 1 + 0 * eps")
+    assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 1
+    assert "[FAIL] drift_gap_shrinks: sup_gaps=1,1,1 at eps=0.5,0.25,0.125\n" in \
+        capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [
@@ -401,6 +473,8 @@ def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
     ["--threshold", "inf"],
     ["--threshold", "nan"],
     ["--event", "terminal-ball", "--radius", "nan"],
+    ["--radius", "nan"],
+    ["--radius", "inf"],
     ["--eps-ladder", "0.5,0.25"],
     ["--eps-ladder", "0.5,0.5,0.5"],
     ["--eps-ladder", "0.5,0.25,0.5"],
@@ -409,7 +483,8 @@ def test_validate_gap_lines_show_their_own_family(tmp_path, capsys):
     ["--rate-value", "-0.5"],
 ], ids=["eps-not-a-number", "too-few-paths", "zero-steps", "negative-eps",
         "coordinate-outside-state", "negative-coordinate", "infinite-threshold",
-        "nan-threshold", "nan-radius", "two-point-ladder", "one-eps-three-times",
+        "nan-threshold", "nan-radius", "nan-radius-half-space", "infinite-radius-half-space",
+        "two-point-ladder", "one-eps-three-times",
         "repeated-eps", "nan-rate-value", "infinite-rate-value", "negative-rate-value"])
 def test_ldp_input_errors_exit_2(tmp_path, capsys, flags):
     """Each refusal comes before any path is stepped: no ladder, no manifest."""

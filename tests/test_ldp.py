@@ -164,14 +164,15 @@ def test_estimate_without_singular_steps_the_problem_without_it():
 
 
 def test_fit_slope_exact_exponential():
-    ladder = [(1.0, np.exp(-3.0)), (0.5, np.exp(-6.0)), (0.25, np.exp(-12.0))]
+    ladder = [(1.0, np.exp(-3.0), 10_000), (0.5, np.exp(-6.0), 10_000),
+              (0.25, np.exp(-12.0), 10_000)]
     slope, stderr = fit_slope(ladder)
     assert slope == pytest.approx(-3.0, abs=1e-12)
     assert stderr == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_slope_intercept_absorbs_prefactor():
-    ladder = [(e, np.exp(-3.0 / e + 0.2)) for e in (1.0, 0.5, 0.25)]
+    ladder = [(e, np.exp(-3.0 / e + 0.2), 10_000) for e in (1.0, 0.5, 0.25)]
     slope, _ = fit_slope(ladder)
     assert slope == pytest.approx(-3.0, abs=1e-12)
 
@@ -192,12 +193,12 @@ def test_fit_slope_gaussian_ladder_bias():
 
 
 def test_fit_slope_drops_degenerate_points():
-    ladder = [(1.0, 0.3), (0.5, 0.1), (0.25, 0.02), (0.125, 0.0)]
+    ladder = [(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.02, 1000), (0.125, 0.0, 1000)]
     with pytest.warns(UserWarning):
         slope, _ = fit_slope(ladder)
     assert slope < 0
     with pytest.raises(ValueError):
-        fit_slope([(1.0, 0.3), (0.5, 0.1), (0.25, 0.0)])
+        fit_slope([(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.0, 1000)])
 
 
 @pytest.mark.parametrize("eps", [-0.5, np.nan, 1.5])

@@ -194,9 +194,9 @@ def test_probe_lipschitz_linear():
 
 
 def test_probe_ellipticity_pass_and_fail():
-    eye = build_field("identity_matrix", m=2)
+    eye = build_field("identity_matrix", 2, 2)
     assert probe_ellipticity(eye, 2.0, Box.cube(2)).passed
-    skew = build_field("identity_matrix", m=2, scale=3.0)
+    skew = build_field("identity_matrix", 2, 2, scale=3.0)
     res = probe_ellipticity(skew, 2.0, Box.cube(2))
     assert not res.passed
     assert res.witness is not None
@@ -204,7 +204,7 @@ def test_probe_ellipticity_pass_and_fail():
 
 
 def test_probe_modulus_holder_field():
-    f = build_field("holder_root", alpha=0.5, bound=10.0)
+    f = build_field("holder_root", 1, 1, alpha=0.5, bound=10.0)
     res = probe_modulus(f, Modulus.holder(0.5), Box.cube(1))
     assert res.passed  # sqrt concavity: ||x|^0.5 - |y|^0.5| <= |x-y|^0.5
 
@@ -218,7 +218,7 @@ def test_probe_modulus_detects_violation():
 
 def test_registry_tanhlog_respects_declared_modulus(monkeypatch):
     monkeypatch.setattr(model, "_PROBE_SAMPLES", 4000)
-    f = build_field("tanhlog_dini", beta=2, gain=3)
+    f = build_field("tanhlog_dini", 1, 1, beta=2, gain=3)
     res = probe_modulus(f, f.declared_modulus, Box.cube(1, 6.0))
     assert res.passed
 
@@ -230,7 +230,7 @@ def test_registry_tanhlog_equals_composed_formula(beta, gain):
     the subnormals, the cap's corner 1/(e-1), the box edge and on a dense
     grid, for a contiguous and a strided column; its input is left as it was,
     and 1/x overflowing at a subnormal x raises no warning."""
-    f = build_field("tanhlog_dini", beta=beta, gain=gain)
+    f = build_field("tanhlog_dini", 1, 1, beta=beta, gain=gain)
     tiny, corner = np.finfo(float).tiny, 1.0 / (np.e - 1.0)
     special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, corner, -corner, 6.0, -6.0]
     values = np.concatenate([special, np.linspace(-6.0, 6.0, 20001)])
@@ -280,13 +280,13 @@ def test_problem_quiet_drift_given_exactly_with_two_blocks():
 
 
 @pytest.mark.parametrize("field, value, needle", [
-    ("drift", model.DriftFamily(limit=build_field("linear", matrix=[[1.0, 0.0]])),
+    ("drift", model.DriftFamily(limit=build_field("linear", 2, 1, matrix=[[1.0, 0.0]])),
      r"drift must be a field R\^1 -> R\^1, got linear: R\^2 -> R\^1$"),
-    ("diffusion", build_field("identity_matrix", m=2),
+    ("diffusion", build_field("identity_matrix", 2, 2),
      r"diffusion must be a field R\^1 -> R\^\(1 x 1\), got identity_matrix: R\^2"),
-    ("diffusion", build_field("identity", n=1),
+    ("diffusion", build_field("identity", 1, 1),
      r"diffusion must be a field R\^1 -> R\^\(1 x 1\), got identity: R\^1 -> R\^1$"),
-    ("singular_drift", build_field("linear", matrix=[[1.0], [2.0]]),
+    ("singular_drift", build_field("linear", 1, 2, matrix=[[1.0], [2.0]]),
      r"singular drift must be a field R\^1 -> R\^1, got linear: R\^1 -> R\^2$"),
 ], ids=["drift", "diffusion-size", "diffusion-vector", "singular"])
 def test_problem_checks_every_field_against_its_block(field, value, needle):

@@ -23,21 +23,21 @@ def test_bundled_suite_loads():
 
 
 def test_registry_field_params():
-    f = build_field("linear", matrix=[[2.0]])
+    f = build_field("linear", 1, 1, matrix=[[2.0]])
     assert np.allclose(f(np.array([[3.0]])), [[6.0]])
     assert f.lipschitz_const == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("name, params", [
-    ("identity_matrix", {"m": 1.0}),
-    ("identity_matrix", {"m": 1, "scale": "3"}),
-    ("tanh_iso", {"m": 1, "amplitude": None}),
-    ("linear", {"matrix": [[1.0], [2.0, 3.0]]}),
-    ("zero", {"in_dim": True, "out_dim": 1}),
+@pytest.mark.parametrize("name, shape, params", [
+    ("identity_matrix", (1.0, 1.0), {}),
+    ("identity_matrix", (1, 1), {"scale": "3"}),
+    ("tanh_iso", (1, 1), {"amplitude": None}),
+    ("linear", (1, 1), {"matrix": [[1.0], [2.0, 3.0]]}),
+    ("tanh_iso", (1, 1), {"amplitude": True}),
 ], ids=["float-dimension", "string", "none", "ragged", "bool"])
-def test_registry_wrong_type_names_field(name, params):
+def test_registry_wrong_type_names_field(name, shape, params):
     with pytest.raises(ValueError, match=repr(name)):
-        build_field(name, **params)
+        build_field(name, *shape, **params)
 
 
 def test_phi_log_equals_masked_formula():
@@ -62,7 +62,7 @@ def test_phi_log_equals_masked_formula():
 
 def test_registry_unknown_name():
     with pytest.raises(KeyError):
-        build_field("nope")
+        build_field("nope", 1, 1)
 
 
 def test_parse_field_spec_expr_and_registry():

@@ -23,7 +23,7 @@ def _problem_with_singular(func, bound, name="synthetic"):
                       ellipticity_K=2.0, lipschitz_L=1.0,
                       working_box=Box.cube(1, 6.0), start=np.zeros(1),
                       drift=DriftFamily(limit=zero), singular_drift=singular,
-                      diffusion=build_field("identity_matrix", m=1))
+                      diffusion=build_field("identity_matrix", 1, 1))
 
 
 def test_zero_perturbation_gives_zero_map():
