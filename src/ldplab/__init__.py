@@ -25,7 +25,6 @@ from .zvonkin import (
     theta,
     theta_inv,
     transform,
-    save_map,
 )
 from .simulate import (
     PathSample,

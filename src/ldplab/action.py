@@ -75,7 +75,6 @@ class RateResult:
     minimizer: ControlPath
     endpoint: np.ndarray          # the minimizing path's end, in the solved system
     converged: bool               # L-BFGS-B success of the best restart
-    n_intervals: int
     restarts: list                # per restart: {"status", "nit", "objective"}
 
 
@@ -289,7 +288,7 @@ def minimize_rate(system, target, n_intervals=32, restarts=8, seed=0):
     path = paths(best.x[None])
     control = ControlPath(hdot=controls(path)[0], horizon_T=dyn.horizon)
     return RateResult(value=action(control), minimizer=control, endpoint=path[0, -1],
-                      converged=bool(best.success), n_intervals=n,
+                      converged=bool(best.success),
                       restarts=[{"status": int(r.status), "nit": int(r.nit),
                                  "objective": float(r.fun)} for r in runs])
 

@@ -30,9 +30,9 @@ from .model import (drift_family_limit_gap, probe_ellipticity, probe_lipschitz,
 from .problems import list_problems, load_problem
 from .simulate import brownian_increments, dynamics, euler
 from .verify import gate_names, run_gates
-from .zvonkin import SolveFailure, find_lambda0, save_map
+from .zvonkin import MARGIN, SolveFailure, find_lambda0
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 1
@@ -123,14 +123,19 @@ def verb_zvonkin(args):
     except ValueError as exc:    # a lambda, resolution or doubling count out of range
         raise InputError(str(exc)) from exc
     zmap = res.map
-    save_map(zmap, _output(args.out, "map.json"), _output(args.out, "map_values.csv"))
+    with open(_output(args.out, "map_values.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"u{c + 1}" for c in range(zmap.u.m)])
+        for row in zmap.u.values.reshape(-1, zmap.u.m):
+            writer.writerow([f"{float(v):.17g}" for v in row])
     a, b, c = zmap.norms
     print(f"lambda={zmap.lam:g} norms=({a:.6g},{b:.6g},{c:.6g}) "
           f"sum={zmap.norm_sum:.6g} certified={str(zmap.certified).lower()}")
     _write_json(args.out, "certificate.json", {
-        "lambda0": res.lambda0, "norms": list(zmap.norms), "norm_sum": zmap.norm_sum,
+        "lambda0": zmap.lam, "norms": list(zmap.norms), "norm_sum": zmap.norm_sum,
         "residual": zmap.residual, "certified": zmap.certified,
         "picard_iters": zmap.picard_iters, "resolution": args.resolution,
+        "box_lo": zmap.box.lo.tolist(), "box_hi": zmap.box.hi.tolist(), "margin": MARGIN,
         "trail": [{"lambda": l, "norms": list(n), "sum": s} for l, n, s in res.trail]})
     return EXIT_OK
 
@@ -199,7 +204,7 @@ def verb_rate(args):
     spread = max(objectives) - min(objectives)
     payload = {"value": result.value, "endpoint": result.endpoint.tolist(),
                "multistart_spread": spread,
-               "converged": result.converged, "n_intervals": result.n_intervals,
+               "converged": result.converged, "n_intervals": result.minimizer.n_intervals,
                "restarts": result.restarts}
     _write_json(args.out, "rate.json", payload)
     print(f"rate value {result.value:.6f} (spread {spread:.2e})")

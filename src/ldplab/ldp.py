@@ -130,20 +130,16 @@ def _simulate_chunk(problem, event, eps, n_steps, increments):
     return event.target.distance(z) <= 0.0, ~alive
 
 
-def estimate_probability(problem, event, eps, n_paths, n_steps, seed,
-                         with_singular=True, point_index=0):
+def estimate_probability(problem, event, eps, n_paths, n_steps, seed, point_index=0):
     """Monte Carlo event probability with Wilson 95% interval, escape count
     and the time spent drawing noise (the slice draws of each chunk's stream,
     summed over its drawing threads) and the wall time spent stepping paths
     (the rest, less the stepper's waits for a slice).  Each point is logged
-    at DEBUG level to this module's logger.  ``with_singular=False`` steps
-    a copy of ``problem`` without its vanishing term eps*b2."""
+    at DEBUG level to this module's logger."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    if not with_singular:
-        problem = replace(problem, singular_drift=None)
     dt = problem.horizon_T / n_steps
     hits = 0
     escapes = 0
@@ -208,14 +204,15 @@ def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
                    with_singular=True):
     """Ladder of probability estimates plus the fitted decay slope.
 
-    Noise streams depend only on (seed, ladder position, path index), so a
-    rerun with ``with_singular`` toggled reuses the identical Brownian paths.
+    ``with_singular=False`` steps a copy of ``problem`` without its vanishing
+    term eps*b2.  Noise streams depend only on (seed, ladder position, path
+    index), so a rerun with ``with_singular`` toggled reuses the identical
+    Brownian paths.
     """
-    ladder = []
-    for j, eps in enumerate(eps_ladder):
-        ladder.append(estimate_probability(problem, event, eps, n_paths, n_steps,
-                                           seed, with_singular=with_singular,
-                                           point_index=j))
+    if not with_singular:
+        problem = replace(problem, singular_drift=None)
+    ladder = [estimate_probability(problem, event, eps, n_paths, n_steps, seed, point_index=j)
+              for j, eps in enumerate(eps_ladder)]
     slope, stderr = fit_slope(ladder)
     if slope > 0 and all(pt.p_hat < 1.0 for pt in ladder):
         warnings.warn("fitted slope is positive while probabilities decay",

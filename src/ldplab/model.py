@@ -51,10 +51,6 @@ class Box:
     hi: np.ndarray
 
     @staticmethod
-    def cube(dim, half_width=5.0):
-        return Box(lo=np.full(dim, -half_width), hi=np.full(dim, half_width))
-
-    @staticmethod
     def of(lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -341,8 +337,9 @@ class SdeProblem:
     quiet_drift: DriftFamily | None = None     # R^dim -> R^d1
 
     def __post_init__(self):
-        if len(self.dims) not in (1, 2):
-            raise ValueError(f"dims must be (n,) or (d1, d2), got {tuple(self.dims)}")
+        if len(self.dims) not in (1, 2) or min(self.dims) < 1:
+            raise ValueError(f"dims must be (n,) or (d1, d2) of block sizes of at least 1, "
+                             f"got {tuple(self.dims)}")
         if (self.quiet_drift is not None) != (len(self.dims) == 2):
             raise ValueError("a quiet drift is given exactly when dims lists two blocks, "
                              f"got dims {tuple(self.dims)}")
@@ -350,8 +347,8 @@ class SdeProblem:
             raise ValueError(f"horizon_T must lie in (0, inf), got {self.horizon_T}")
         if not 1 < self.ellipticity_K < math.inf:
             raise ValueError(f"ellipticity_K must lie in (1, inf), got {self.ellipticity_K}")
-        if not math.isfinite(self.lipschitz_L):
-            raise ValueError(f"lipschitz_L must be finite, got {self.lipschitz_L}")
+        if not 0 <= self.lipschitz_L < math.inf:
+            raise ValueError(f"lipschitz_L must lie in [0, inf), got {self.lipschitz_L}")
         dim, m = self.state_dim, self.noisy_dim
         quiet = self.quiet_drift and self.quiet_drift.limit
         for label, field, want in (("drift", self.drift.limit, (dim, m, False)),

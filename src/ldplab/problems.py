@@ -195,8 +195,8 @@ def _expression_family(pert_text, in_dim, out_dim):
 # The keys a problem file may set, per section; [drift]'s depend on the block
 # count, and [modulus] takes its kind and that kind's one parameter.
 _KEYS = {"DEFAULT": (), "diffusion": ("field",), "singular": ("field", "bound"),
-         "problem": ("name", "layout", "dims", "horizon", "start", "ellipticity_k",
-                     "lipschitz_l", "box_lo", "box_hi")}
+         "problem": ("name", "dims", "horizon", "start", "ellipticity_k", "lipschitz_l",
+                     "box_lo", "box_hi")}
 _DRIFT_KEYS = {1: ("limit", "perturbation"),
                2: ("limit_x", "perturbation_x", "limit_y", "perturbation_y")}
 _MODULUS_PARAMETER = {"dini_log": "beta", "holder": "alpha", "lipschitz": "l",
@@ -253,15 +253,10 @@ def _config(text):
 def parse_problem_text(text, name_hint=""):
     cp = _config(text)
     prob = cp["problem"]
-    layout = prob.get("layout", "nondegenerate").strip()
-    n_blocks = {"nondegenerate": 1, "degenerate": 2}.get(layout)
-    if n_blocks is None:
-        raise ValueError(f"unknown layout {layout!r}")
     dims = tuple(int(d) for d in prob["dims"].split())
-    if len(dims) != n_blocks:
-        raise ValueError(f"dims must list {n_blocks} block size(s) in the {layout} "
-                         f"layout, got {dims}")
-    _check_keys(cp, n_blocks)
+    if len(dims) not in _DRIFT_KEYS:
+        raise ValueError(f"dims must list 1 or 2 block sizes, got {dims}")
+    _check_keys(cp, len(dims))
     state_dim = sum(dims)
     name = prob.get("name", name_hint).strip()
     horizon = float(prob.get("horizon", "1.0"))
@@ -274,7 +269,7 @@ def parse_problem_text(text, name_hint=""):
     hi = float(prob.get("box_hi", "5.0"))
     box = Box.of(np.full(state_dim, lo), np.full(state_dim, hi))
 
-    noisy = dims[-1]            # the noisy block comes last in either layout
+    noisy = dims[-1]            # the noisy block comes last
     diffusion = parse_field_spec(cp["diffusion"]["field"], noisy, noisy, matrix=True)
 
     singular = None

@@ -127,9 +127,9 @@ def gate_constant_resolvent():
     err = float(np.max(np.abs(zmap.u.values - c / lam)))
     res = find_lambda0(problem, resolution=129)
     expected_lambda0 = 2.0  # first ladder value with |c|/lambda <= 1/2
-    ok = err <= 1e-8 and res.lambda0 == expected_lambda0 and res.map.certified
+    ok = err <= 1e-8 and res.map.lam == expected_lambda0 and res.map.certified
     return GateReport("constant_resolvent_exactness", ok,
-                      {"sup_error": err, "lambda0": res.lambda0,
+                      {"sup_error": err, "lambda0": res.map.lam,
                        "expected": expected_lambda0})
 
 
@@ -140,7 +140,7 @@ def gate_norm_certificate():
     monotone = all(s2 <= s1 + 1e-12 for s1, s2 in zip(sums, sums[1:]))
     ok = res.map.certified and res.map.norm_sum <= 0.5 and monotone
     return GateReport("norm_certificate", ok,
-                      {"lambda0": res.lambda0, "norm_sum": res.map.norm_sum,
+                      {"lambda0": res.map.lam, "norm_sum": res.map.norm_sum,
                        "ladder_sums": [float(s) for s in sums],
                        "monotone": monotone})
 

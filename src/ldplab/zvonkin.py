@@ -9,8 +9,6 @@ forward to a system with Lipschitz drift.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -30,7 +28,6 @@ __all__ = [
     "theta",
     "theta_inv",
     "transform",
-    "save_map",
 ]
 
 CERTIFY_NORM_SUM = 0.5
@@ -304,8 +301,7 @@ def solve_resolvent(problem, lam, resolution=257):
 
 @dataclass
 class Lambda0Result:
-    lambda0: float
-    map: ZvonkinMap
+    map: ZvonkinMap       # the certified map, at lambda0 = map.lam
     trail: list  # (lambda, norms, norm_sum) along the ladder
 
 
@@ -324,7 +320,7 @@ def find_lambda0(problem, resolution=257, lambda_start=1.0, max_doublings=20):
         _log.debug("lambda=%g norm_sum=%.6g picard_iters=%d certified=%s",
                    lam, zmap.norm_sum, zmap.picard_iters, zmap.certified)
         if zmap.certified:
-            return Lambda0Result(lambda0=lam, map=zmap, trail=trail)
+            return Lambda0Result(map=zmap, trail=trail)
         lam *= LAMBDA_GROWTH
     sums = ", ".join(f"{l:g}:{s:.3g}" for l, _, s in trail)
     raise SolveFailure(f"no certified lambda at or below {lam / LAMBDA_GROWTH:g} "
@@ -435,28 +431,3 @@ class TransformedSde:
 
 def transform(problem, zmap):
     return TransformedSde(base=problem, map=zmap)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: JSON header + CSV node values
-
-def save_map(zmap, header_path, values_path):
-    header = {
-        "lambda": zmap.lam,
-        "box_lo": zmap.box.lo.tolist(),
-        "box_hi": zmap.box.hi.tolist(),
-        "resolution": list(zmap.u.grid_shape),
-        "norms": list(zmap.norms),
-        "residual": zmap.residual,
-        "certified": zmap.certified,
-        "margin": MARGIN,
-    }
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
-    flat = zmap.u.values.reshape(-1, zmap.u.m)
-    with open(values_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"u{c + 1}" for c in range(zmap.u.m)])
-        for row in flat:
-            writer.writerow([f"{float(v):.17g}" for v in row])

@@ -89,6 +89,7 @@ _INVALID_NUMBERS = [
     ("horizon = 1.0", "horizon = inf", "horizon_T"),
     ("ellipticity_K = 2.0", "ellipticity_K = inf", "ellipticity_K"),
     ("lipschitz_L = 1.0", "lipschitz_L = nan", "lipschitz_L"),
+    ("lipschitz_L = 1.0", "lipschitz_L = -1.0", "lipschitz_L must lie in [0, inf)"),
     ("start = 0.0", "start = nan", "start"),
     ("start = 0.0", "start = 0 0", "start"),
     ("start = 0.0", "start = 9.0", "inside the working box"),
@@ -130,8 +131,9 @@ def test_registry_wrong_type_exit_2(tmp_path, capsys):
     ("[diffusion]", "[modulus]\nkind = holder\nalpha = 0.5\n\n[diffusion]",
      "unknown section [modulus]"),
     ("[problem]", "[DEFAULT]\nhorizon = 2.0\n\n[problem]", "unknown key(s) horizon in [DEFAULT]"),
+    ("horizon = 1.0", "layout = nondegenerate\nhorizon = 1.0", "unknown key(s) layout in [problem]"),
 ], ids=["problem-key", "drift-key", "other-block-key", "section", "modulus-without-singular",
-        "default-section"])
+        "default-section", "layout-key"])
 def test_unknown_section_or_key_exit_2(tmp_path, capsys, old, new, needle):
     """A section or key that nothing reads is refused, named, instead of
     being ignored: a typo in an optional key would otherwise run with its
@@ -171,6 +173,8 @@ def test_missing_file_exit_2(tmp_path):
 
 
 def test_zvonkin_writes_certificate(tmp_path, capsys):
+    """certificate.json is the one record of the certified map: its lambda,
+    norms, grid box and margin; map_values.csv reads back to u bit for bit."""
     code = main(["zvonkin", "--problem", "dini-tanhlog-1d", "--out", str(tmp_path),
                  "--resolution", "129"])
     assert code == 0
@@ -181,8 +185,14 @@ def test_zvonkin_writes_certificate(tmp_path, capsys):
     assert cert["resolution"] == 129
     expected = find_lambda0(load_problem("dini-tanhlog-1d"), resolution=129).map
     assert cert["picard_iters"] == expected.picard_iters >= 1
-    assert (tmp_path / "map.json").exists()
-    assert (tmp_path / "map_values.csv").exists()
+    assert cert["lambda0"] == expected.lam and cert["norms"] == list(expected.norms)
+    assert cert["box_lo"] == expected.box.lo.tolist() == [-6.0]
+    assert cert["box_hi"] == expected.box.hi.tolist() == [6.0]
+    assert cert["margin"] == 0.2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "certificate.json", "manifest.json", "map_values.csv"]
+    table = np.loadtxt(tmp_path / "map_values.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table, expected.u.values.reshape(-1, expected.u.m))
 
 
 def test_zvonkin_lambda_cap_exit_3(tmp_path):
@@ -592,8 +602,14 @@ _SINGULAR_1D = "\n\n[singular]\nfield = registry: tanhlog_dini(beta=2, gain=3)\n
 
 
 @pytest.mark.parametrize("old, new, needle", [
-    ("layout = nondegenerate", "layout = degenerate", "dims must list 2 block size(s)"),
-    ("layout = nondegenerate", "layout = sideways", "unknown layout 'sideways'"),
+    pytest.param("dims = 1", "dims = 1 1 1", "dims must list 1 or 2 block sizes, got (1, 1, 1)",
+                 id="dims-three-blocks"),
+    pytest.param(("dims = 1", "limit = expr: 0"),
+                 ("dims = 1 0", "limit_x = expr: 0\nlimit_y = registry: zero"),
+                 "block sizes of at least 1, got (1, 0)", id="dims-empty-noisy-block"),
+    pytest.param(("dims = 1", "limit = expr: 0"),
+                 ("dims = 0 1", "limit_x = registry: zero\nlimit_y = expr: 0"),
+                 "block sizes of at least 1, got (0, 1)", id="dims-empty-quiet-block"),
     pytest.param("limit = expr: 0", "limit = registry: linear(matrix=[[1.0, 0.0]])",
                  "drift must be a field R^1 -> R^1, got linear: R^2 -> R^1", id="drift-2-to-1"),
     pytest.param(("dims = 1", "limit = expr: 0"), ("dims = 2", "limit = expr: 0; 0" + _SINGULAR_1D),
@@ -601,18 +617,18 @@ _SINGULAR_1D = "\n\n[singular]\nfield = registry: tanhlog_dini(beta=2, gain=3)\n
                  id="singular-1d-in-2d"),
 ])
 def test_layout_and_dims_checked_before_use(tmp_path, capsys, old, new, needle):
-    """A layout the file does not know, a dims line that does not match its
-    layout, or a field that does not match its block's dimensions exits 2
-    from every verb with one error line instead of a traceback or a run on
-    broadcast values.  ``old`` and ``new`` are one replacement or a tuple of
-    them."""
+    """A dims line of neither one nor two block sizes, a block size below 1,
+    or a field that does not match its block's dimensions exits 2 from every
+    verb with one error line instead of a traceback, a division by zero or a
+    run on broadcast values.  ``old`` and ``new`` are one replacement or a
+    tuple of them."""
     bad = tmp_path / "variant.ini"
     text = (files("ldplab") / "problems" / "brownian-1d.ini").read_text()
     for o, n in zip(*((old, new) if isinstance(old, tuple) else ((old,), (new,)))):
         assert o in text
         text = text.replace(o, n)
     bad.write_text(text)
-    for verb in ("validate", "simulate"):
+    for verb in ("validate", "simulate", "ldp"):
         assert main([verb, "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2, verb
         err = capsys.readouterr().err
         assert err.startswith("error: problem file invalid") and needle in err, err

@@ -1,6 +1,7 @@
 import logging
 import tracemalloc
 import warnings
+from dataclasses import replace
 from importlib.resources import files
 from time import perf_counter
 
@@ -141,26 +142,29 @@ def test_ladder_point_never_holds_its_increments():
 
 
 def test_estimate_leaves_event_unchanged():
-    """Without the singular drift a ladder point steps a copy of the problem:
-    the caller's event and problem keep what they had."""
-    problem = load_problem("dini-tanhlog-1d")
-    singular = problem.singular_drift
+    """A ladder point reads its event and problem and changes neither."""
+    problem = replace(load_problem("dini-tanhlog-1d"), singular_drift=None)
     event = terminal_event(half_space_target([1.0], 1.0))
-    before = dict(vars(event))
-    estimate_probability(problem, event, 0.5, 200, 16, seed=0, with_singular=False)
+    before, fields = dict(vars(event)), dict(vars(problem))
+    estimate_probability(problem, event, 0.5, 200, 16, seed=0)
     assert vars(event) == before
-    assert problem.singular_drift is singular is not None
+    assert all(getattr(problem, k) is v for k, v in fields.items())
 
 
 def test_estimate_without_singular_steps_the_problem_without_it():
-    """``with_singular=False`` gives, hit for hit, the point of the same
-    problem with its singular drift removed."""
+    """``with_singular=False`` gives, hit for hit, the ladder of the same
+    problem with its singular drift removed, and leaves the caller's
+    problem with its b2."""
     problem = load_problem("dini-tanhlog-1d")
+    singular = problem.singular_drift
     event = terminal_event(half_space_target([1.0], 1.0))
-    dropped = estimate_probability(problem, event, 0.5, 2000, 32, seed=3, with_singular=False)
-    problem.singular_drift = None
-    removed = estimate_probability(problem, event, 0.5, 2000, 32, seed=3)
-    assert dropped.hits == removed.hits and dropped.escapes == removed.escapes
+    dropped = ldp_experiment(problem, event, (1.0, 0.5, 0.25), 2000, 32, seed=3,
+                             with_singular=False)
+    assert problem.singular_drift is singular is not None
+    removed = ldp_experiment(replace(problem, singular_drift=None), event, (1.0, 0.5, 0.25),
+                             2000, 32, seed=3)
+    assert [(p.hits, p.escapes) for p in dropped.ladder] == \
+        [(p.hits, p.escapes) for p in removed.ladder]
 
 
 def test_fit_slope_exact_exponential():

@@ -23,7 +23,7 @@ def test_box_contains_and_sample(rng):
 
 
 def test_box_shrink():
-    box = Box.cube(1, 5.0)
+    box = Box.of([-5.0], [5.0])
     inner = box.shrink(0.2)
     assert inner.lo[0] == pytest.approx(-4.0)
     assert inner.hi[0] == pytest.approx(4.0)
@@ -188,16 +188,16 @@ def test_coordinate_function_equals_stacked_columns(rng, text, in_dim, extra, va
 
 def test_probe_lipschitz_linear():
     f = parse_field("2 * x1", 1, 1)
-    probed = probe_lipschitz(f, Box.cube(1), seed=3)
+    probed = probe_lipschitz(f, Box.of([-5.0], [5.0]), seed=3)
     assert probed == pytest.approx(2.0, rel=1e-9)
     assert probed <= 2.0 + 1e-9  # sampled value is a lower bound
 
 
 def test_probe_ellipticity_pass_and_fail():
     eye = build_field("identity_matrix", 2, 2)
-    assert probe_ellipticity(eye, 2.0, Box.cube(2)).passed
+    assert probe_ellipticity(eye, 2.0, Box.of([-5.0] * 2, [5.0] * 2)).passed
     skew = build_field("identity_matrix", 2, 2, scale=3.0)
-    res = probe_ellipticity(skew, 2.0, Box.cube(2))
+    res = probe_ellipticity(skew, 2.0, Box.of([-5.0] * 2, [5.0] * 2))
     assert not res.passed
     assert res.witness is not None
     assert res.value == pytest.approx(9.0)  # eigenvalue of (3I)(3I)^T
@@ -205,13 +205,13 @@ def test_probe_ellipticity_pass_and_fail():
 
 def test_probe_modulus_holder_field():
     f = build_field("holder_root", 1, 1, alpha=0.5, bound=10.0)
-    res = probe_modulus(f, Modulus.holder(0.5), Box.cube(1))
+    res = probe_modulus(f, Modulus.holder(0.5), Box.of([-5.0], [5.0]))
     assert res.passed  # sqrt concavity: ||x|^0.5 - |y|^0.5| <= |x-y|^0.5
 
 
 def test_probe_modulus_detects_violation():
     f = parse_field("2 * x1", 1, 1)  # Lipschitz 2 violates phi(t) = t
-    res = probe_modulus(f, Modulus.lipschitz(1.0), Box.cube(1))
+    res = probe_modulus(f, Modulus.lipschitz(1.0), Box.of([-5.0], [5.0]))
     assert not res.passed
     assert res.witness is not None
 
@@ -219,7 +219,7 @@ def test_probe_modulus_detects_violation():
 def test_registry_tanhlog_respects_declared_modulus(monkeypatch):
     monkeypatch.setattr(model, "_PROBE_SAMPLES", 4000)
     f = build_field("tanhlog_dini", 1, 1, beta=2, gain=3)
-    res = probe_modulus(f, f.declared_modulus, Box.cube(1, 6.0))
+    res = probe_modulus(f, f.declared_modulus, Box.of([-6.0], [6.0]))
     assert res.passed
 
 

@@ -90,7 +90,6 @@ def test_problem_file_from_path(tmp_path):
     path.write_text("""
 [problem]
 name = custom
-layout = nondegenerate
 dims = 2
 horizon = 2.0
 start = 0.5

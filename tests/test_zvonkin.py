@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 
+from ldplab.cli import main
 from ldplab.model import Box, DriftFamily, Modulus, SdeProblem, VectorField
 from ldplab.problems import build_field, load_problem, parse_problem_text
 from ldplab.simulate import dynamics
 from ldplab.zvonkin import (GridFunction, SolveFailure, ZvonkinMap, _assemble_operator,
                             _measure_norms, _nodal_jacobian, _reflect, _spectral_norm,
-                            _transport, find_lambda0, save_map, solve_resolvent, theta,
+                            _transport, find_lambda0, solve_resolvent, theta,
                             theta_inv, transform)
 
 
@@ -21,7 +22,7 @@ def _problem_with_singular(func, bound, name="synthetic"):
                        func=lambda x: np.zeros((x.shape[0], 1)), name="zero")
     return SdeProblem(name=name, dims=(1,), horizon_T=1.0,
                       ellipticity_K=2.0, lipschitz_L=1.0,
-                      working_box=Box.cube(1, 6.0), start=np.zeros(1),
+                      working_box=Box.of([-6.0], [6.0]), start=np.zeros(1),
                       drift=DriftFamily(limit=zero), singular_drift=singular,
                       diffusion=build_field("identity_matrix", 1, 1))
 
@@ -62,7 +63,7 @@ def test_lambda_ladder_logged_at_debug_only(caplog):
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         assert f"lambda={lam:g} norm_sum={norm_sum:.6g} picard_iters=" in message
-        assert message.endswith(f"certified={lam == res.lambda0}")
+        assert message.endswith(f"certified={lam == res.map.lam}")
 
 
 def test_lambda_cap_reports_trajectory():
@@ -118,17 +119,19 @@ def test_transform_start_maps_through_theta(dini_problem, dini_map):
     assert np.array_equal(dynamics(tsde, 0.5).x0, theta(dini_map, dini_problem.start))
 
 
-def test_save_map_files(dini_map, tmp_path):
-    header, values = tmp_path / "map.json", tmp_path / "map.csv"
-    save_map(dini_map, header, values)
-    written = json.loads(header.read_text())
-    assert written["lambda"] == dini_map.lam
+def test_save_map_files(dini_map, tmp_path, capsys):
+    """The zvonkin verb saves the certified map: certificate.json holds its
+    lambda, grid and norms, map_values.csv reads back to u bit for bit."""
+    assert main(["zvonkin", "--problem", "dini-tanhlog-1d", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "certificate.json").read_text())
+    assert written["lambda0"] == dini_map.lam
     assert written["box_lo"] == dini_map.box.lo.tolist()
     assert written["box_hi"] == dini_map.box.hi.tolist()
-    assert written["resolution"] == [257]
+    assert written["resolution"] == 257
     assert written["norms"] == list(dini_map.norms)
     assert written["certified"] is True and written["margin"] == 0.2
-    table = np.loadtxt(values, delimiter=",", skiprows=1, ndmin=2)
+    table = np.loadtxt(tmp_path / "map_values.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(table, dini_map.u.values.reshape(-1, dini_map.u.m))
 
 
@@ -189,7 +192,7 @@ def test_theta_inv_refuses_points_it_cannot_invert(dini_map, bad):
 
 def test_theta_inv_round_trip_on_a_2d_grid(rng):
     """The N-D branch: a hand-built smooth u on a 2-D grid inverts to 1e-10."""
-    box = Box.cube(2, 1.0)
+    box = Box.of([-1.0] * 2, [1.0] * 2)
     axes = [np.linspace(-1.0, 1.0, 65)] * 2
     gx, gy = np.meshgrid(*axes, indexing="ij")
     values = 0.05 * np.stack([np.sin(gx + 0.5 * gy), np.cos(gx * gy)], axis=-1)
@@ -208,13 +211,13 @@ def test_theta_inv_round_trip_on_a_2d_grid(rng):
 def test_one_dimensional_grid_function_has_one_component():
     axis = np.linspace(0.0, 1.0, 17)
     with pytest.raises(ValueError, match="one component"):
-        GridFunction(box=Box.cube(1, 1.0), axes=[axis], values=np.zeros((17, 2)))
+        GridFunction(box=Box.of([-1.0], [1.0]), axes=[axis], values=np.zeros((17, 2)))
 
 
 def test_dini_certificate_recorded(dini_lambda0):
     """dini-tanhlog-1d's certificate on the 257-point grid."""
     zmap = dini_lambda0.map
-    assert dini_lambda0.lambda0 == 16.0
+    assert zmap.lam == 16.0
     assert zmap.norm_sum == pytest.approx(0.4661068269956721, rel=1e-12)
     assert zmap.picard_iters == 11
 
