@@ -31,12 +31,11 @@ __all__ = [
     "probe_lipschitz",
     "probe_ellipticity",
     "probe_modulus",
-    "drift_family_limit_gap",
 ]
 
 _MONOTONE_GRID = 201                              # points of [0, 1] where phi is checked
 _DINI_CUTOFFS = np.logspace(-2, -12, 6)           # dini_classify's lower integration limits
-_PROBE_SAMPLES = 2000                             # sampled pairs per probe; points for the gap
+_PROBE_SAMPLES = 2000                             # sampled pairs, or points of probe_sup
 _ELLIPTICITY_POINTS = 500                         # sampled points of the ellipticity probe
 _ELLIPTICITY_TOL = 1e-9                           # eigenvalues may leave [1/K, K] by this much
 _MODULUS_SLACK = 1e-6                             # relative slack of the modulus probe
@@ -359,8 +358,13 @@ class SdeProblem:
             if have not in (None, want):
                 raise ValueError(f"{label} must be a field {_signature(*want)}, got "
                                  f"{field.name or '<anon>'}: {_signature(*have)}")
-        if self.singular_drift is not None and self.singular_drift.declared_modulus is None:
-            raise ValueError("singular drift needs a declared modulus")
+        if self.singular_drift is not None:
+            if self.singular_drift.declared_modulus is None:
+                raise ValueError("singular drift needs a declared modulus")
+            bound = self.singular_drift.declared_bound
+            if bound is not None and not 0 <= bound < math.inf:
+                raise ValueError(f"singular drift's declared bound must lie in [0, inf), "
+                                 f"got {bound}")
         start = np.asarray(self.start, dtype=float)   # the box is finite: NaN, inf lie outside
         if start.shape != (self.state_dim,) or not self.working_box.contains(start)[0]:
             raise ValueError(f"start must be {self.state_dim} finite number(s) inside the "
@@ -396,16 +400,23 @@ class ProbeResult:
 
 
 def _pair_samples(box, seed):
+    """Sampled pairs of ``box`` at least 1e-12 apart, as (xs, ys, their distances)."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return box.sample(rng, _PROBE_SAMPLES), box.sample(rng, _PROBE_SAMPLES)
+    xs, ys = box.sample(rng, _PROBE_SAMPLES), box.sample(rng, _PROBE_SAMPLES)
+    gaps = np.linalg.norm(xs - ys, axis=1)
+    keep = gaps >= 1e-12
+    return xs[keep], ys[keep], gaps[keep]
+
+
+def probe_sup(f, box, seed=0):
+    """Sampled max of |f(x)| over ``box``: a lower bound on the field's sup-norm."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return float(np.max(np.linalg.norm(f(box.sample(rng, _PROBE_SAMPLES)), axis=1)))
 
 
 def probe_lipschitz(f, box, seed=0):
     """Sampled max of |f(x)-f(y)| / |x-y|: a lower bound on the true constant."""
-    xs, ys = _pair_samples(box, seed)
-    gaps = np.linalg.norm(xs - ys, axis=1)
-    keep = gaps >= 1e-12
-    xs, ys, gaps = xs[keep], ys[keep], gaps[keep]
+    xs, ys, gaps = _pair_samples(box, seed)
     fx, fy = f(xs), f(ys)
     if f.matrix:
         num = np.linalg.norm((fx - fy).reshape(len(xs), -1), axis=1)
@@ -436,10 +447,7 @@ def probe_ellipticity(sigma, K, box, seed=0):
 
 def probe_modulus(f, m, box, seed=0):
     """Check |f(x)-f(y)| <= phi(|x-y|) * (1 + _MODULUS_SLACK) on sampled pairs."""
-    xs, ys = _pair_samples(box, seed)
-    gaps = np.linalg.norm(xs - ys, axis=1)
-    keep = gaps >= 1e-12
-    xs, ys, gaps = xs[keep], ys[keep], gaps[keep]
+    xs, ys, gaps = _pair_samples(box, seed)
     diff = np.linalg.norm(f(xs) - f(ys), axis=1)
     bound = m.phi(gaps) * (1.0 + _MODULUS_SLACK)
     bad = diff > bound
@@ -449,15 +457,3 @@ def probe_modulus(f, m, box, seed=0):
                            witness=np.concatenate([xs[i], ys[i]]))
     margin = float(np.max(diff - bound)) if len(gaps) else 0.0
     return ProbeResult(passed=True, value=margin)
-
-
-def drift_family_limit_gap(family, box, eps, seed=0):
-    """Sampled sup-norm of b^eps - b^0 for one drift family on ``box``; 0 for
-    a family without a perturbation."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0,1)")
-    if family.perturbation is None:
-        return 0.0
-    gap = family.perturbation(eps)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return float(np.max(np.linalg.norm(gap(box.sample(rng, _PROBE_SAMPLES)), axis=1)))

@@ -14,8 +14,7 @@ import numpy as np
 from .model import (Box, DriftFamily, Modulus, SdeProblem, VectorField, coordinate_function,
                     parse_field)
 
-__all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems",
-           "bundled_sections"]
+__all__ = ["FIELD_REGISTRY", "build_field", "load_problem", "list_problems"]
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +291,19 @@ def parse_problem_text(text, name_hint=""):
                       diffusion=diffusion, singular_drift=singular, quiet_drift=quiet_drift)
 
 
-_BUNDLED = ["brownian-1d", "ou-1d", "free-endpoint", "dini-tanhlog-1d",
-            "holder-1d", "hamiltonian-2d"]
+def _bundled_dir():
+    return resources.files("ldplab").joinpath("problems")
 
 
 def list_problems():
-    return list(_BUNDLED)
+    """The names of the bundled problems: the stems of the package's
+    ``problems/*.ini`` files, sorted."""
+    return sorted(f.name[:-len(".ini")] for f in _bundled_dir().iterdir()
+                  if f.name.endswith(".ini"))
 
 
 def _bundled_text(name):
-    return resources.files("ldplab").joinpath(f"problems/{name}.ini").read_text()
+    return _bundled_dir().joinpath(f"{name}.ini").read_text()
 
 
 def bundled_sections(name):
@@ -313,5 +315,6 @@ def bundled_sections(name):
 def load_problem(name_or_path):
     """Load a bundled problem by name or a problem file by path."""
     name = str(name_or_path)
-    text = _bundled_text(name) if name in _BUNDLED else Path(name).read_text(encoding="utf-8")
+    text = (_bundled_text(name) if name in list_problems()
+            else Path(name).read_text(encoding="utf-8"))
     return parse_problem_text(text, name_hint=name)

@@ -98,7 +98,7 @@ class GridFunction:
         pts = np.atleast_2d(x)
         if len(self.axes) == 1:
             xq, ax = pts[:, 0], self.axes[0]
-            if xq.min() < ax[0] - 1e-9 or xq.max() > ax[-1] + 1e-9:
+            if not (xq.min() >= ax[0] - 1e-9 and xq.max() <= ax[-1] + 1e-9):   # NaN fails
                 raise ValueError("interpolation point outside the grid box")
             out = self.clamped(pts)
         else:

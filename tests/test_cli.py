@@ -107,6 +107,24 @@ def test_infinite_box_exit_2(tmp_path, capsys, verb):
         assert err.startswith("error: problem file invalid") and needle in err, (new, err)
 
 
+@pytest.mark.parametrize("verb", ["validate", "simulate", "zvonkin", "rate", "ldp"])
+def test_singular_bound_out_of_range_exit_2(tmp_path, capsys, verb):
+    """A declared bound of b2 that is negative (every validate run would fail
+    it) or not finite (nothing would be checked) is refused when the file is
+    read, whether the file or the registry call declares it."""
+    text = (files("ldplab") / "problems" / "dini-tanhlog-1d.ini").read_text()
+    field = "field = registry: tanhlog_dini(beta=2, gain=3)"
+    assert field in text
+    for new in (f"{field}\nbound = -1.0", f"{field}\nbound = inf",
+                "field = registry: tanhlog_dini(beta=2, gain=3, bound=-1.0)"):
+        bad = tmp_path / "variant.ini"
+        bad.write_text(text.replace(field, new))
+        assert main([verb, "--problem", str(bad), "--out", str(tmp_path / "o")]) == 2, new
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem file invalid") and err.count("\n") == 1, err
+        assert "singular drift's declared bound must lie in [0, inf)" in err, err
+
+
 def test_field_outside_domain_exit_2(tmp_path, capsys):
     bad = _brownian_variant(tmp_path, "limit = expr: 0", "limit = expr: log(x1)")
     assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 2
@@ -470,6 +488,16 @@ def test_validate_gap_that_does_not_shrink_fails(tmp_path, capsys):
                             "limit = expr: 0\nperturbation = expr: 1 + 0 * eps")
     assert main(["validate", "--problem", bad, "--out", str(tmp_path / "o")]) == 1
     assert "[FAIL] drift_gap_shrinks: sup_gaps=1,1,1 at eps=0.5,0.25,0.125\n" in \
+        capsys.readouterr().out
+
+
+def test_validate_gap_already_zero_passes(tmp_path, capsys):
+    """A perturbation that is identically 0 is at its limit already: it passes."""
+    zero = tmp_path / "zero.ini"
+    text = (files("ldplab") / "problems" / "ou-1d.ini").read_text()
+    zero.write_text(text.replace("expr: eps * tanh(x1)", "expr: 0 * eps"))
+    assert main(["validate", "--problem", str(zero), "--out", str(tmp_path / "o")]) == 0
+    assert "[PASS] drift_gap_shrinks: sup_gaps=0,0,0 at eps=0.5,0.25,0.125\n" in \
         capsys.readouterr().out
 
 

@@ -198,10 +198,10 @@ def test_fit_slope_gaussian_ladder_bias():
 
 def test_fit_slope_drops_degenerate_points():
     ladder = [(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.02, 1000), (0.125, 0.0, 1000)]
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="dropped 1 ladder point"):
         slope, _ = fit_slope(ladder)
     assert slope < 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), pytest.warns(UserWarning, match="dropped 1 ladder point"):
         fit_slope([(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.0, 1000)])
 
 

@@ -6,9 +6,8 @@ import pytest
 
 from ldplab import model
 from ldplab.expr import EvaluationError, parse_expression
-from ldplab.model import (Box, Modulus, coordinate_function, dini_classify,
-                          drift_family_limit_gap, parse_field, probe_ellipticity,
-                          probe_lipschitz, probe_modulus)
+from ldplab.model import (Box, Modulus, coordinate_function, dini_classify, parse_field,
+                          probe_ellipticity, probe_lipschitz, probe_modulus, probe_sup)
 from ldplab.problems import build_field, load_problem
 
 
@@ -249,11 +248,29 @@ def test_registry_tanhlog_equals_composed_formula(beta, gain):
 
 def test_drift_gap_halves_for_linear_family():
     problem = load_problem("ou-1d")
-    gaps = [drift_family_limit_gap(problem.drift, problem.working_box, eps)
+    gaps = [probe_sup(problem.drift.perturbation(eps), problem.working_box)
             for eps in (0.5, 0.25, 0.125)]
     assert gaps[0] > 0
     assert gaps[0] == pytest.approx(2 * gaps[1], rel=1e-9)
     assert gaps[1] == pytest.approx(2 * gaps[2], rel=1e-9)
+
+
+def test_probe_sup_samples_the_box():
+    """The sampled sup of |f| is reached inside the box and approaches the true sup."""
+    sup = probe_sup(parse_field("x1; 2 * x2", 2, 2), Box.of([-1.0, -1.0], [1.0, 1.0]))
+    assert 2.0 < sup <= np.sqrt(5.0)
+    assert sup == pytest.approx(np.sqrt(5.0), rel=0.05)
+    assert probe_sup(parse_field("0", 1, 1), Box.of([-1.0], [1.0])) == 0.0
+
+
+def test_probes_drop_coincident_pairs(monkeypatch):
+    """A pair closer than 1e-12 is dropped before any probe divides by its distance."""
+    monkeypatch.setattr(model, "_PROBE_SAMPLES", 3)
+    flat = Box.of([0.0], [1e-300])          # every pair coincides to 1e-12
+    xs, ys, gaps = model._pair_samples(flat, seed=0)
+    assert xs.shape == ys.shape == (0, 1) and gaps.shape == (0,)
+    assert probe_lipschitz(parse_field("x1", 1, 1), flat) == 0.0
+    assert probe_modulus(parse_field("x1", 1, 1), Modulus.lipschitz(1.0), flat).passed
 
 
 def test_drift_family_at_eps():

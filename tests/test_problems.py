@@ -1,10 +1,18 @@
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from ldplab.problems import (_phi_log, build_field, list_problems, load_problem,
-                             parse_field_spec)
+                             parse_field_spec, parse_problem_text)
+
+
+def test_bundled_problems_are_the_shipped_files():
+    """The bundled names are the stems of the package's problems/*.ini files, sorted."""
+    shipped = [f.name for f in resources.files("ldplab").joinpath("problems").iterdir()]
+    assert list_problems() == sorted(n[:-4] for n in shipped if n.endswith(".ini"))
+    assert len(list_problems()) == 6
 
 
 def test_bundled_suite_loads():
@@ -127,3 +135,48 @@ field = registry: identity_matrix
 """)
     with pytest.raises(ValueError):
         load_problem(str(path))
+
+
+_BROWNIAN_SINGULAR = """
+[problem]
+dims = 1
+
+[drift]
+limit = expr: 0
+
+[singular]
+field = {field}
+{bound}
+
+[modulus]
+kind = lipschitz
+l = 1
+
+[diffusion]
+field = registry: identity_matrix
+"""
+
+
+@pytest.mark.parametrize("field, bound", [
+    ("expr: 0.5", "bound = -1.0"),
+    ("expr: 0.5", "bound = inf"),
+    ("expr: 0.5", "bound = nan"),
+    ("registry: constant(values=0.5)", "bound = -0.5"),
+    ("registry: tanhlog_dini(bound=-1.0)", ""),
+    ("registry: holder_root(bound=1e999)", ""),
+], ids=["negative", "inf", "nan", "file-overrides-registry", "registry-negative",
+        "registry-inf"])
+def test_singular_bound_must_be_finite_and_nonnegative(field, bound):
+    """A declared bound of b2 that no sampled sup can meet, or that checks
+    nothing, is refused where the problem is built."""
+    text = _BROWNIAN_SINGULAR.format(field=field, bound=bound)
+    with pytest.raises(ValueError, match=r"declared bound must lie in \[0, inf\)"):
+        parse_problem_text(text)
+
+
+def test_registry_fields_declare_their_own_bound():
+    """The bundled singular drifts state their bound through the registry only."""
+    for name in ("dini-tanhlog-1d", "hamiltonian-2d", "holder-1d"):
+        assert load_problem(name).singular_drift.declared_bound == 1.0
+    text = _BROWNIAN_SINGULAR.format(field="registry: tanhlog_dini", bound="bound = 2.5")
+    assert parse_problem_text(text).singular_drift.declared_bound == 2.5

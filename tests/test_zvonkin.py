@@ -214,6 +214,18 @@ def test_one_dimensional_grid_function_has_one_component():
         GridFunction(box=Box.of([-1.0], [1.0]), axes=[axis], values=np.zeros((17, 2)))
 
 
+def test_grid_function_refuses_nan_in_every_dimension(dini_map):
+    """A NaN point lies outside the box: a 1-D grid raises, as an N-D grid does."""
+    with pytest.raises(ValueError, match="outside the grid box"):
+        theta(dini_map, [np.nan])
+    with pytest.raises(ValueError, match="outside the grid box"):
+        dini_map.u(np.array([[0.0], [np.nan]]))
+    box = Box.of([-1.0] * 2, [1.0] * 2)
+    grid = GridFunction(box=box, axes=[np.linspace(-1.0, 1.0, 5)] * 2, values=np.zeros((5, 5, 1)))
+    with pytest.raises(ValueError, match="out of bounds"):
+        grid([np.nan, 0.0])
+
+
 def test_dini_certificate_recorded(dini_lambda0):
     """dini-tanhlog-1d's certificate on the 257-point grid."""
     zmap = dini_lambda0.map
