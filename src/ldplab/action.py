@@ -90,8 +90,11 @@ def skeleton(system, control, n_steps):
 
     A batch of controls (B, n_intervals, m) is integrated together, and
     ``states`` is then (B, n_steps + 1, dim) instead of (n_steps + 1, dim).
+    A control on another horizon than the system's is refused.
     """
     dyn = dynamics(system, 0.0)
+    if control.horizon_T != dyn.horizon:
+        raise ValueError(f"control horizon {control.horizon_T} is not the system's {dyn.horizon}")
     hdots = control.hdot.reshape((-1,) + control.hdot.shape[-2:])
     if n_steps % control.n_intervals:
         raise ValueError("n_steps must be a multiple of n_intervals")

@@ -20,6 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .simulate import NoiseStream, dynamics, euler
+from .zvonkin import SolveFailure
 
 __all__ = [
     "EventSpec",
@@ -135,7 +136,7 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed, point_inde
     and the time spent drawing noise (the slice draws of each chunk's stream,
     summed over its drawing threads) and the wall time spent stepping paths
     (the rest, less the stepper's waits for a slice).  Each point is logged
-    at DEBUG level to this module's logger."""
+    at DEBUG level to this module's logger.  All paths escaping is a ``SolveFailure``."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     if n_steps < 1:
@@ -156,7 +157,7 @@ def estimate_probability(problem, event, eps, n_paths, n_steps, seed, point_inde
     _log.debug("ladder point eps=%r n_paths=%d hits=%d escapes=%d noise_s=%.4f step_s=%.4f",
                float(eps), n_paths, hits, escapes, noise_s, step_s)
     if escapes == n_paths:
-        raise RuntimeError("all paths escaped the working box")
+        raise SolveFailure("all paths escaped the working box")
     p_hat = hits / n_paths
     lo_ci, hi_ci = wilson_interval(hits, n_paths)
     return LadderPoint(eps=float(eps), n_paths=n_paths, hits=hits, p_hat=p_hat,
@@ -172,19 +173,19 @@ def fit_slope(ladder):
 
     An entry is a ``LadderPoint`` or an (eps, p_hat, n_paths) triple.
     Weights come from the delta-method variance of log p_hat, (1-p)/(n p).
-    Points with p_hat in {0, 1} are dropped with a warning; at least 3 usable
-    points are required.
+    Points with p_hat in {0, 1} are dropped with a warning; fewer than 3
+    usable points raise ``SolveFailure``, before any warning.
     Returns (slope, stderr) where stderr scales the weighted covariance by
     the residual variance, so an exact affine ladder reports stderr 0.
     """
     pts = [(e.eps, e.p_hat, e.n_paths) if isinstance(e, LadderPoint) else e for e in ladder]
     usable = [(e, p, n) for e, p, n in pts if 0.0 < p < 1.0]
+    if len(usable) < 3:
+        raise SolveFailure("slope fit needs at least 3 ladder points with p_hat in (0,1)")
     dropped = len(pts) - len(usable)
     if dropped:
         warnings.warn(f"dropped {dropped} ladder point(s) with p_hat in {{0, 1}}",
                       stacklevel=2)
-    if len(usable) < 3:
-        raise ValueError("slope fit needs at least 3 ladder points with p_hat in (0,1)")
     x = np.array([1.0 / e for e, _, _ in usable])
     y = np.array([np.log(p) for _, p, _ in usable])
     w = np.array([n * p / (1.0 - p) for _, p, n in usable])
@@ -207,8 +208,12 @@ def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
     ``with_singular=False`` steps a copy of ``problem`` without its vanishing
     term eps*b2.  Noise streams depend only on (seed, ladder position, path
     index), so a rerun with ``with_singular`` toggled reuses the identical
-    Brownian paths.
+    Brownian paths.  ``ValueError``, before any point is stepped, for fewer
+    than 3 entries, a repeated eps or an eps outside (0, 1].
     """
+    if not (len(set(eps_ladder)) == len(eps_ladder) >= 3 and all(0 < e <= 1 for e in eps_ladder)):
+        raise ValueError(f"eps ladder must list at least 3 distinct numbers in (0, 1], "
+                         f"got {list(eps_ladder)}")
     if not with_singular:
         problem = replace(problem, singular_drift=None)
     ladder = [estimate_probability(problem, event, eps, n_paths, n_steps, seed, point_index=j)

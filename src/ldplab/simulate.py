@@ -391,44 +391,39 @@ def euler(dyn, increments, keep_path=False):
     return z, alive, path
 
 
-def _single_path(system, eps, n_steps, seed, path_index, increments):
+def _single_path(system, eps, n_steps, seed, path_index):
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     dyn = dynamics(system, eps)
     dt = dyn.horizon / n_steps
-    if increments is None:
-        noise_dim = dyn.x0.size - dyn.n_quiet
-        batch = brownian_increments(seed, range(path_index, path_index + 1), n_steps,
-                                    noise_dim, dt)
-    else:
-        batch = increments[None]
+    batch = brownian_increments(seed, range(path_index, path_index + 1), n_steps,
+                                dyn.x0.size - dyn.n_quiet, dt)
     _, alive, path = euler(dyn, batch, keep_path=True)
     if not alive[0]:
         raise EscapeError(path[0, -1])
     return PathSample(times=np.arange(n_steps + 1) * dt, states=path[0])
 
 
-def simulate_original(problem, eps, n_steps, seed, path_index=0, increments=None):
+def simulate_original(problem, eps, n_steps, seed, path_index=0):
     """dX = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW on the working box."""
-    return _single_path(problem, eps, n_steps, seed, path_index, increments)
+    return _single_path(problem, eps, n_steps, seed, path_index)
 
 
-def simulate_transformed(tsde, eps, n_steps, seed, path_index=0, increments=None):
+def simulate_transformed(tsde, eps, n_steps, seed, path_index=0):
     """Transformed system started from theta(x0); same noise conventions."""
-    return _single_path(tsde, eps, n_steps, seed, path_index, increments)
+    return _single_path(tsde, eps, n_steps, seed, path_index)
 
 
-def simulate_degenerate(problem, eps, n_steps, seed, path_index=0, increments=None):
+def simulate_degenerate(problem, eps, n_steps, seed, path_index=0):
     """dX = f^eps dt (no noise); dY = (b1^eps + eps*b2) dt + sqrt(eps) sigma dW."""
     if not problem.n_quiet:
         raise ValueError("problem is not in the degenerate layout")
-    return _single_path(problem, eps, n_steps, seed, path_index, increments)
+    return _single_path(problem, eps, n_steps, seed, path_index)
 
 
-def simulate_transformed_degenerate(tsde, eps, n_steps, seed, path_index=0,
-                                    increments=None):
+def simulate_transformed_degenerate(tsde, eps, n_steps, seed, path_index=0):
     """Degenerate transformed system: X unchanged, Y carried through theta."""
-    return _single_path(tsde, eps, n_steps, seed, path_index, increments)
+    return _single_path(tsde, eps, n_steps, seed, path_index)
 
 
 def conjugacy_check(problem, zmap, eps, increments):

@@ -369,7 +369,11 @@ def gate_names():
 
 
 def run_gates(names=None, seed=2024, skip=()):
-    """Run the named gates (all by default); returns a list of GateReport."""
+    """Run the named gates (all by default); returns a list of GateReport.
+    A name in ``names`` or ``skip`` that is no gate's is refused with
+    ``ValueError`` before any gate runs."""
+    if unknown := (set(names or ()) | set(skip)) - set(gate_names()):
+        raise ValueError(f"unknown gate(s): {sorted(unknown)}")
     reports = []
     for name, gate in GATES:
         if names is not None and name not in names:

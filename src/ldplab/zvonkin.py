@@ -308,8 +308,6 @@ class Lambda0Result:
 def find_lambda0(problem, resolution=257, lambda_start=1.0, max_doublings=20):
     """Geometric lambda ladder; returns the first certified resolvent map.
     Each lambda tried is logged at DEBUG level to this module's logger."""
-    if not 0 < lambda_start < math.inf:
-        raise ValueError(f"lambda_start must be a positive finite number, got {lambda_start}")
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be non-negative, got {max_doublings}")
     trail = []

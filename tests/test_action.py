@@ -34,6 +34,15 @@ def test_skeleton_linear_drift_exact():
     problem.start[:] = 0.0
 
 
+def test_skeleton_refuses_control_on_another_horizon():
+    """A control is priced on its own horizon, so it must be the system's."""
+    problem = load_problem("brownian-1d")          # T = 1
+    assert skeleton(problem, ControlPath(np.ones((4, 1)), 1.0), 64).states[-1, 0] == \
+        pytest.approx(1.0)
+    with pytest.raises(ValueError, match="control horizon 2.0"):
+        skeleton(problem, ControlPath(np.ones((4, 1)), 2.0), 64)
+
+
 def test_skeleton_requires_divisible_steps():
     problem = load_problem("free-endpoint")
     c = ControlPath(hdot=np.zeros((3, 1)), horizon_T=1.0)

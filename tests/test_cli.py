@@ -450,10 +450,9 @@ def test_ldp_failed_bound_check_exit_1(tmp_path, capsys):
 def test_ldp_unusable_ladder_exit_3(tmp_path, capsys):
     """A ladder whose points all have p_hat = 0 cannot be fitted: exit 3, and
     the run keeps its manifest."""
-    with pytest.warns(UserWarning, match="dropped 3 ladder point"):
-        code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
-                     "--eps-ladder", "1,0.5,0.25", "--n-paths", "100", "--n-steps", "4",
-                     "--threshold", "5"])
+    code = main(["ldp", "--problem", "brownian-1d", "--out", str(tmp_path),
+                 "--eps-ladder", "1,0.5,0.25", "--n-paths", "100", "--n-steps", "4",
+                 "--threshold", "5"])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: slope fit needs at least 3") and err.count("\n") == 1
@@ -555,6 +554,22 @@ def test_module_exit_code_and_manifest(tmp_path, flags, code, manifest):
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.count("error:") == 1
     assert (tmp_path / "run" / "manifest.json").exists() is manifest
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--threshold", "5", "--eps-ladder", "1,0.5,0.25"], 3),
+    (["--eps-ladder", "0.5,0.25"], 2),
+], ids=["unusable-ladder", "two-point-ladder"])
+def test_module_stderr_is_one_error_line(tmp_path, flags, code):
+    """Outside pytest's capture, a refusal or a failed fit writes its one
+    ``error:`` line to stderr and nothing else: no warning goes with it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ldplab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ldplab.cli", "ldp", "--problem",
+                           "brownian-1d", "--n-paths", "100", "--n-steps", "4", *flags,
+                           "--out", "run"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_verify_subset_with_skip(tmp_path, capsys):

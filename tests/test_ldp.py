@@ -16,6 +16,7 @@ from ldplab.ldp import (bound_check, estimate_probability, fit_slope, ldp_experi
 from ldplab.problems import load_problem
 from ldplab.simulate import NoiseStream, brownian_increments, dynamics, euler
 from ldplab.verify import gaussian_reference_slope
+from ldplab.zvonkin import SolveFailure
 
 
 def test_wilson_interval_contains_point_estimate():
@@ -201,22 +202,54 @@ def test_fit_slope_drops_degenerate_points():
     with pytest.warns(UserWarning, match="dropped 1 ladder point"):
         slope, _ = fit_slope(ladder)
     assert slope < 0
-    with pytest.raises(ValueError), pytest.warns(UserWarning, match="dropped 1 ladder point"):
-        fit_slope([(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.0, 1000)])
+
+
+def test_fit_slope_with_too_few_usable_points_fails_without_warning():
+    """No result is a ``SolveFailure``, raised before the drop warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolveFailure, match="at least 3 ladder points"):
+            fit_slope([(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.0, 1000)])
+    assert caught == []
 
 
 @pytest.mark.parametrize("eps", [-0.5, np.nan, 1.5])
 def test_ladders_refuse_eps_outside_unit_interval(eps):
-    """Checked once, where the dynamics are built: no sqrt warning, no
-    'all paths escaped', and no ladder above eps = 1."""
+    """A point is refused where its dynamics are built, a ladder by its own
+    rule: no sqrt warning, no 'all paths escaped', and no ladder above eps = 1."""
     problem = load_problem("brownian-1d")
     event = terminal_event(half_space_target([1.0], 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
             estimate_probability(problem, event, eps, 200, 16, seed=0)
-        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"distinct numbers in \(0, 1\]"):
             ldp_experiment(problem, event, (1.0, eps, 0.25), 200, 16, seed=0)
+
+
+@pytest.mark.parametrize("ladder", [
+    (0.5, 0.25), (0.5, 0.5, 0.5), (0.5, 0.25, 0.5), (1.0, 0.0, 0.25), (1.0, -0.5, 0.25),
+    (1.5, 0.5, 0.25), (1.0, np.nan, 0.25),
+], ids=["two-points", "one-eps-three-times", "repeated-eps", "zero-eps", "negative-eps",
+        "eps-above-one", "nan-eps"])
+def test_ldp_experiment_refuses_ladder_before_stepping(monkeypatch, ladder):
+    calls = []
+    monkeypatch.setattr(ldp, "estimate_probability", lambda *a, **k: calls.append(a))
+    problem = load_problem("brownian-1d")
+    event = terminal_event(half_space_target([1.0], 0.5))
+    with pytest.raises(ValueError, match="at least 3 distinct numbers"):
+        ldp_experiment(problem, event, ladder, 200, 16, seed=0)
+    assert calls == []
+
+
+def test_point_where_every_path_escapes_fails(tmp_path):
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+                      .replace("box_lo = -6.0", "box_lo = -0.01")
+                      .replace("box_hi = 6.0", "box_hi = 0.01"))
+    event = terminal_event(half_space_target([1.0], 0.0))
+    with pytest.raises(SolveFailure, match="all paths escaped"):
+        estimate_probability(load_problem(str(narrow)), event, 1.0, 100, 64, seed=0)
 
 
 def test_ldp_experiment_shares_noise_across_toggle():

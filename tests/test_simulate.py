@@ -307,11 +307,13 @@ def test_brownian_terminal_matches_increment_sum():
     assert path.states[-1, 0] == pytest.approx(0.5 * increments.sum(), rel=1e-12)
 
 
-def test_escape_raises():
-    problem = load_problem("brownian-1d")
-    inc = np.full((10, 1), 5.0)  # deterministic huge jumps
+def test_escape_raises(tmp_path):
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text((files("ldplab") / "problems" / "brownian-1d.ini").read_text()
+                      .replace("box_lo = -6.0", "box_lo = -0.01")
+                      .replace("box_hi = 6.0", "box_hi = 0.01"))
     with pytest.raises(EscapeError):
-        simulate_original(problem, 1.0, 10, seed=0, increments=inc)
+        simulate_original(load_problem(str(narrow)), 1.0, 10, seed=0)
 
 
 def test_degenerate_x_block_noise_free():

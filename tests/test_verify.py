@@ -63,6 +63,19 @@ def test_crashed_gate_keeps_traceback(monkeypatch):
     assert other.name == "dini_classification" and other.passed
 
 
+@pytest.mark.parametrize("names, skip", [
+    (["no_such_gate"], ()),
+    (["dini_classification"], {"no_such_gate"}),
+], ids=["names", "skip"])
+def test_run_gates_refuses_unknown_name_before_any_gate(monkeypatch, names, skip):
+    ran = []
+    monkeypatch.setattr(verify, "GATES", [(name, lambda seed, name=name: ran.append(name))
+                                          for name, _ in verify.GATES])
+    with pytest.raises(ValueError, match="no_such_gate"):
+        verify.run_gates(names=names, skip=skip)
+    assert ran == []
+
+
 def _bench_module(monkeypatch, name):
     """``bench/<name>.py`` loaded without writing bytecode into bench/."""
     bench = Path(__file__).resolve().parents[1] / "bench"
