@@ -27,12 +27,11 @@ from typing import Callable
 
 import numpy as np
 
-from .simulate import apply_noise, dynamics
+from .simulate import PathSample, apply_noise, dynamics
 from .zvonkin import transform
 
 __all__ = [
     "ControlPath",
-    "SkeletonPath",
     "RateResult",
     "Target",
     "ball_target",
@@ -64,12 +63,6 @@ class ControlPath:
 
 
 @dataclass
-class SkeletonPath:
-    times: np.ndarray
-    states: np.ndarray
-
-
-@dataclass
 class RateResult:
     value: float
     minimizer: ControlPath
@@ -86,7 +79,8 @@ def action(control):
 
 def skeleton(system, control, n_steps):
     """RK4 for the controlled ODE z' = b(z) + S(z) hdot of the eps = 0 system
-    (an SdeProblem or a TransformedSde), under piecewise-constant controls.
+    (an SdeProblem or a TransformedSde), under piecewise-constant controls,
+    as a ``PathSample``.
 
     A batch of controls (B, n_intervals, m) is integrated together, and
     ``states`` is then (B, n_steps + 1, dim) instead of (n_steps + 1, dim).
@@ -117,8 +111,8 @@ def skeleton(system, control, n_steps):
     states = np.stack(states, axis=1)
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("skeleton integration produced non-finite state")
-    return SkeletonPath(times=np.linspace(0.0, dyn.horizon, n_steps + 1),
-                        states=states.reshape(control.hdot.shape[:-2] + states.shape[1:]))
+    return PathSample(times=np.linspace(0.0, dyn.horizon, n_steps + 1),
+                      states=states.reshape(control.hdot.shape[:-2] + states.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

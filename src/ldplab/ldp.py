@@ -13,6 +13,8 @@ the fields from the caller's thread only.
 from __future__ import annotations
 
 import logging
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -39,6 +41,15 @@ _CHUNK = 32768                 # paths stepped together at one ladder point
 _Z95 = 1.959963984540054       # two-sided 95% normal quantile of the Wilson interval
 
 _log = logging.getLogger(__name__)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message):
+    """``warnings.warn`` at the caller's line, the first outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +195,7 @@ def fit_slope(ladder):
         raise SolveFailure("slope fit needs at least 3 ladder points with p_hat in (0,1)")
     dropped = len(pts) - len(usable)
     if dropped:
-        warnings.warn(f"dropped {dropped} ladder point(s) with p_hat in {{0, 1}}",
-                      stacklevel=2)
+        _warn(f"dropped {dropped} ladder point(s) with p_hat in {{0, 1}}")
     x = np.array([1.0 / e for e, _, _ in usable])
     y = np.array([np.log(p) for _, p, _ in usable])
     w = np.array([n * p / (1.0 - p) for _, p, n in usable])
@@ -220,8 +230,7 @@ def ldp_experiment(problem, event, eps_ladder, n_paths, n_steps, seed,
               for j, eps in enumerate(eps_ladder)]
     slope, stderr = fit_slope(ladder)
     if slope > 0 and all(pt.p_hat < 1.0 for pt in ladder):
-        warnings.warn("fitted slope is positive while probabilities decay",
-                      stacklevel=2)
+        _warn("fitted slope is positive while probabilities decay")
     return LdpEstimate(ladder=ladder, slope=slope, slope_stderr=stderr)
 
 

@@ -1,10 +1,11 @@
 """Euler-Maruyama simulation of the original, transformed, and degenerate
 systems, with shared-noise coupling for conjugacy and refinement checks.
 
-One batched stepper serves every system: ``dynamics`` builds the start
-point, coefficients (drift and noise map) and box test of a system once, and
-``euler`` steps a (B, dim) batch of paths through them.  The single-path ``simulate_*``
-functions, ``conjugacy_check`` and the Monte Carlo ladders all use it.
+One batched stepper serves every system.  ``dynamics`` composes the
+coefficients (drift and noise map) of the original system or of the one
+transformed through theta, with its start point and box test, once, and
+``euler`` steps a (B, dim) batch of paths through them.  The single-path
+``simulate_*`` functions, ``conjugacy_check`` and the ladders all use it.
 
 Noise is counter-based and keyed by blocks of ``_NOISE_BLOCK`` paths: the
 normals of block i // 256 come from one Philox stream keyed by
@@ -66,7 +67,7 @@ class EscapeError(RuntimeError):
 @dataclass
 class PathSample:
     times: np.ndarray
-    states: np.ndarray            # (n_steps + 1, dim)
+    states: np.ndarray            # (n_steps + 1, dim), or (B, n_steps + 1, dim) for a batch
 
 
 class NoiseStream:
@@ -333,17 +334,36 @@ def _identity(y):
 
 
 def _transformed_dynamics(tsde, eps):
+    """The noisy block goes through theta.  At y = theta^{-1}(y~), one solve
+    per batch, y~ has drift grad theta(y) b1^eps(x, y) + eps lambda u(y) and
+    noise map grad theta(y) sigma(y), with grad theta = I + grad u, and x keeps
+    its drift f^eps(x, y).  The fields are read through their public call."""
     from .zvonkin import theta, theta_inv     # looked up per call, so a patch is seen
 
-    base, zmap, q = tsde.base, tsde.map, tsde.n_quiet
+    base, zmap, q = tsde.base, tsde.map, tsde.base.n_quiet
     ibox = zmap.interior_box()
     box = Box(lo=np.concatenate([base.working_box.lo[:q], ibox.lo]),
               hi=np.concatenate([base.working_box.hi[:q], ibox.hi]))
-    start = tsde.start
-    x0 = np.concatenate([start[:q], theta(zmap, start[q:])]).astype(float)
-    return Dynamics(x0, tsde.coefficients(eps), box, q, eps, base.horizon_T,
-                    partial(theta_inv, zmap), partial(theta, zmap),
-                    base.quiet_drift.at(eps) if q else None)
+    x0 = np.concatenate([tsde.start[:q], theta(zmap, tsde.start[q:])]).astype(float)
+    to_original = partial(theta_inv, zmap)
+    u, diffusion, eye = zmap.u, base.diffusion, np.eye(base.noisy_dim)
+    noisy_drift = base.drift.at(eps)
+    quiet_drift = base.quiet_drift.at(eps) if q else None
+
+    def coefficients(z):
+        y = to_original(z[:, q:])
+        grad = u.jacobian(y) + eye
+        sigma = grad @ diffusion(y)
+        joint = np.concatenate([z[:, :q], y], axis=1) if q else y
+        drift = np.einsum("nij,nj->ni", grad, noisy_drift(joint))
+        if eps != 0.0:
+            drift = drift + eps * zmap.lam * u.clamped(y)
+        if q:
+            drift = np.concatenate([quiet_drift(joint), drift], axis=1)
+        return drift, sigma
+
+    return Dynamics(x0, coefficients, box, q, eps, base.horizon_T,
+                    to_original, partial(theta, zmap), quiet_drift)
 
 
 def euler(dyn, increments, keep_path=False):

@@ -3,8 +3,8 @@
 Solves (lambda - L) u = b2 + (b2 . grad) u on a box with homogeneous Neumann
 conditions, where L is the second-order part of the diffusion generator.
 A solution with small enough norms certifies that theta(x) = x + u(x) is a
-bi-Lipschitz homeomorphism, which is then used to push the SDE coefficients
-forward to a system with Lipschitz drift.
+bi-Lipschitz homeomorphism; ``simulate.dynamics`` composes the drift and
+noise map of the system it transforms (``transform``), whose drift is Lipschitz.
 """
 
 from __future__ import annotations
@@ -92,10 +92,13 @@ class GridFunction:
 
     def __call__(self, x):
         """Values at a point (d,) or a batch (B, d) of points in the box; a
-        point outside it raises ValueError."""
+        point outside it, or of another dimension than the grid's, raises
+        ValueError."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
+        if pts.shape[-1] != len(self.axes):
+            raise ValueError(f"a point of dimension {pts.shape[-1]} on a {len(self.axes)}-D grid")
         if len(self.axes) == 1:
             xq, ax = pts[:, 0], self.axes[0]
             if not (xq.min() >= ax[0] - 1e-9 and xq.max() <= ax[-1] + 1e-9):   # NaN fails
@@ -344,13 +347,16 @@ def theta_inv(zmap, y, record_steps=False):
     takes the largest Euclidean step of any row; it stops once that step is
     below INVERSE_TOL.  An iterate outside the box means that y lies outside
     theta(box), and raises SolveFailure, as does a loop that does not
-    converge.  With ``record_steps`` the step sizes are returned as well.
+    converge.  A point of another dimension than the map's raises
+    ValueError.  With ``record_steps`` the step sizes are returned as well.
     """
     if not zmap.certified:
         raise SolveFailure("theta_inv requires a certified map")
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     y = np.atleast_2d(y)
+    if y.shape[-1] != zmap.box.dim:
+        raise ValueError(f"a point of dimension {y.shape[-1]} for a {zmap.box.dim}-D map")
     lo, hi = zmap.box.lo - 1e-12, zmap.box.hi + 1e-12
     x, steps = y, []
     for _ in range(INVERSE_MAX_ITERS):
@@ -371,17 +377,14 @@ def theta_inv(zmap, y, record_steps=False):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient transform
+# Transformed system
 
 @dataclass
 class TransformedSde:
-    """The system conjugated through theta (Zvonkin's change of variables).
-
-    Only the noisy block Y goes through theta: with Y~ = theta(Y), its drift
-    is (grad theta . b) o theta^{-1} + eps*lambda*u o theta^{-1} and its
-    diffusion (grad theta . sigma) o theta^{-1}.  A noise-free block X keeps
-    its drift (``base.quiet_drift``), evaluated at (x, theta^{-1}(y~)).
-    """
+    """A problem and a certified map of its noisy block: the system
+    conjugated through theta (Zvonkin's change of variables), whose drift and
+    noise map ``simulate.dynamics`` composes.  A map of another dimension
+    than the noisy block's is refused."""
 
     base: object          # the source SdeProblem
     map: ZvonkinMap
@@ -389,42 +392,14 @@ class TransformedSde:
     def __post_init__(self):
         if not self.map.certified:
             raise SolveFailure("transform requires a certified map")
-
-    @property
-    def n_quiet(self):
-        """Leading noise-free coordinates left unchanged by theta (d1, or 0)."""
-        return self.base.n_quiet
+        if self.map.box.dim != self.base.noisy_dim:
+            raise ValueError(f"a map of dimension {self.map.box.dim} does not fit a noisy "
+                             f"block of size {self.base.noisy_dim}")
 
     @property
     def start(self):
         """The base problem's start, in original coordinates."""
         return self.base.start
-
-    def pullback(self, yt):
-        """(y, grad theta(y), grad theta(y) sigma(y)) at y = theta^{-1}(yt),
-        for a (B, m) batch of transformed noisy states."""
-        y = theta_inv(self.map, yt)
-        grad = self.map.u.jacobian(y) + np.eye(self.map.u.m)
-        return y, grad, grad @ self.base.diffusion(y)
-
-    def coefficients(self, eps):
-        """The transformed coefficients at ``eps`` as one callable on (B, dim)
-        joint states (x, y~): z -> (drift (B, dim), diffusion (B, m, m))."""
-        zmap, q = self.map, self.n_quiet
-        noisy_drift = self.base.drift.at(eps)
-        quiet_drift = self.base.quiet_drift.at(eps) if q else None
-
-        def func(z):
-            y, grad, sigma = self.pullback(z[:, q:])
-            joint = np.concatenate([z[:, :q], y], axis=1) if q else y
-            drift = np.einsum("nij,nj->ni", grad, noisy_drift(joint))
-            if eps != 0.0:
-                drift = drift + eps * zmap.lam * zmap.u.clamped(y)
-            if q:
-                drift = np.concatenate([quiet_drift(joint), drift], axis=1)
-            return drift, sigma
-
-        return func
 
 
 def transform(problem, zmap):

@@ -198,10 +198,27 @@ def test_fit_slope_gaussian_ladder_bias():
 
 
 def test_fit_slope_drops_degenerate_points():
+    """The drop warning names the caller's line, here this file."""
     ladder = [(1.0, 0.3, 1000), (0.5, 0.1, 1000), (0.25, 0.02, 1000), (0.125, 0.0, 1000)]
-    with pytest.warns(UserWarning, match="dropped 1 ladder point"):
+    with pytest.warns(UserWarning, match="dropped 1 ladder point") as record:
         slope, _ = fit_slope(ladder)
     assert slope < 0
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_ladder_warnings_name_the_callers_line(monkeypatch):
+    """Both warnings of a ladder run name the line that ran it, not one
+    inside ldplab: the drop warning of its slope fit, and the positive-slope
+    warning (with the fit patched to return a positive slope)."""
+    problem = load_problem("brownian-1d")
+    event = terminal_event(half_space_target([1.0], 1.0))
+    with pytest.warns(UserWarning, match="dropped 1 ladder point") as record:
+        ldp_experiment(problem, event, (1.0, 0.5, 0.25, 0.125, 0.01), 2000, 16, seed=0)
+    assert [w.filename for w in record] == [__file__]
+    monkeypatch.setattr(ldp, "fit_slope", lambda ladder: (0.5, 0.1))
+    with pytest.warns(UserWarning, match="fitted slope is positive") as record:
+        ldp_experiment(problem, event, (1.0, 0.5, 0.25), 2000, 16, seed=0)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_fit_slope_with_too_few_usable_points_fails_without_warning():

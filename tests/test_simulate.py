@@ -19,7 +19,7 @@ from ldplab.simulate import (EscapeError, NoiseStream, apply_noise, brownian_inc
                              coarsen_increments, conjugacy_check, dynamics, euler,
                              simulate_degenerate, simulate_original, simulate_transformed,
                              simulate_transformed_degenerate)
-from ldplab.zvonkin import find_lambda0, transform
+from ldplab.zvonkin import find_lambda0, theta_inv, transform
 
 
 def test_increments_reproducible_and_independent():
@@ -406,6 +406,32 @@ def test_transformed_step_inverts_theta_once(name, dini_problem, dini_map, hamil
     _, alive, _ = euler(dynamics(tsde, 0.5), inc)
     assert alive.all()
     assert len(calls) == 50
+
+
+@pytest.mark.parametrize("name", ["dini-tanhlog-1d", "hamiltonian-2d"])
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_transformed_coefficients_equal_the_formula(name, eps, dini_problem, dini_map,
+                                                    hamiltonian_map):
+    """The transformed coefficients equal, bit for bit, the formula written
+    out from the fields: at y = theta^-1(y~), the drift grad theta(y) b1^eps(x, y)
+    + eps lambda u(y) beside the quiet drift f^eps(x, y), and the noise map
+    grad theta(y) sigma(y), with grad theta = I + grad u."""
+    problem, zmap = (dini_problem, dini_map) if name == "dini-tanhlog-1d" else hamiltonian_map
+    dyn = dynamics(transform(problem, zmap), eps)
+    q = problem.n_quiet
+    rng = np.random.Generator(np.random.Philox(key=17))
+    z = dyn.box.sample(rng, 200)        # the quiet block's working box, theta's interior box
+    drift, sigma = dyn.coefficients(z)
+
+    y = theta_inv(zmap, z[:, q:])
+    joint = np.concatenate([z[:, :q], y], axis=1)
+    grad = zmap.u.jacobian(y) + np.eye(problem.noisy_dim)
+    noisy = np.einsum("nij,nj->ni", grad, problem.drift.at(eps)(joint))
+    if eps != 0.0:
+        noisy = noisy + eps * zmap.lam * zmap.u(y)
+    quiet = [problem.quiet_drift.at(eps)(joint)] if q else []
+    assert drift.tobytes() == np.concatenate(quiet + [noisy], axis=1).tobytes()
+    assert sigma.tobytes() == (grad @ problem.diffusion(y)).tobytes()
 
 
 def test_batch_freezes_escaped_rows(tmp_path):

@@ -93,8 +93,7 @@ def test_theta_inv_requires_certificate():
 
 def test_transform_drift_is_lipschitz(dini_problem, dini_map):
     """The composed limit drift must be Lipschitz even though b2 is not."""
-    tsde = transform(dini_problem, dini_map)
-    coefficients = tsde.coefficients(0.0)
+    coefficients = dynamics(transform(dini_problem, dini_map), 0.0).coefficients
 
     def drift(z):
         return coefficients(z)[0]
@@ -190,14 +189,19 @@ def test_theta_inv_refuses_points_it_cannot_invert(dini_map, bad):
         theta_inv(dini_map, y)
 
 
-def test_theta_inv_round_trip_on_a_2d_grid(rng):
-    """The N-D branch: a hand-built smooth u on a 2-D grid inverts to 1e-10."""
+def _smooth_2d_map():
+    """A certified map of a hand-built smooth u on a 2-D grid."""
     box = Box.of([-1.0] * 2, [1.0] * 2)
     axes = [np.linspace(-1.0, 1.0, 65)] * 2
     gx, gy = np.meshgrid(*axes, indexing="ij")
     values = 0.05 * np.stack([np.sin(gx + 0.5 * gy), np.cos(gx * gy)], axis=-1)
-    zmap = ZvonkinMap(lam=1.0, u=GridFunction(box=box, axes=axes, values=values),
+    return ZvonkinMap(lam=1.0, u=GridFunction(box=box, axes=axes, values=values),
                       norms=(0.05, 0.1, 0.1), residual=0.0, certified=True)
+
+
+def test_theta_inv_round_trip_on_a_2d_grid(rng):
+    """The N-D branch: a hand-built smooth u on a 2-D grid inverts to 1e-10."""
+    zmap = _smooth_2d_map()
     pts = zmap.interior_box().sample(rng, 200)
     back, steps = theta_inv(zmap, theta(zmap, pts), record_steps=True)
     assert np.max(np.abs(back - pts)) <= 1e-10
@@ -206,6 +210,25 @@ def test_theta_inv_round_trip_on_a_2d_grid(rng):
     assert np.array_equal(zmap.u.clamped(np.array([[1.5, -2.0]])), corner)
     assert np.array_equal(zmap.u.jacobian(np.array([[1.5, -2.0]])),
                           zmap.u.jacobian_grid()[None, -1, 0])
+
+
+def test_theta_and_its_inverse_refuse_a_point_of_another_dimension(dini_map):
+    """A 1-D map does not read a point of two coordinates as two points, and
+    a 2-D map does not read a column of two 1-D points as one batch."""
+    with pytest.raises(ValueError, match="dimension 2 on a 1-D grid"):
+        theta(dini_map, [[0.1, 0.2]])
+    with pytest.raises(ValueError, match="dimension 2 for a 1-D map"):
+        theta_inv(dini_map, [[0.1, 0.2]])
+    zmap = _smooth_2d_map()
+    with pytest.raises(ValueError, match="dimension 1 on a 2-D grid"):
+        theta(zmap, [[0.1], [0.2]])
+    with pytest.raises(ValueError, match="dimension 1 for a 2-D map"):
+        theta_inv(zmap, [[0.1], [0.2]])
+
+
+def test_transform_refuses_a_map_of_another_dimension(dini_problem):
+    with pytest.raises(ValueError, match="dimension 2 does not fit a noisy block of size 1"):
+        transform(dini_problem, _smooth_2d_map())
 
 
 def test_one_dimensional_grid_function_has_one_component():
